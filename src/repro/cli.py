@@ -37,33 +37,31 @@ from repro.olocal import PROBLEMS
 from repro.registry import load_plugins
 from repro.runner.cache import DEFAULT_CACHE_DIR
 
-#: Deprecated shim — alias → canonical problem name. The aliases now
-#: live on the registry entries; import :data:`repro.olocal.PROBLEMS`
-#: and use ``PROBLEMS.resolve(name)`` instead.
-PROBLEM_ALIASES = PROBLEMS.alias_map()
 
-
-def build_family_graph(*args, **kwargs) -> StaticGraph:
-    """Deprecated shim — moved to
-    :func:`repro.graphs.families.build_family_graph` (kept so pre-registry
-    imports from ``repro.cli`` keep working)."""
-    return _build_family_graph(*args, **kwargs)
+def _family_params(args: argparse.Namespace) -> dict[str, object]:
+    """``--p``/``--degree``, only where the user set them: unset ones
+    take the family builder's defaults, and a set one the family does
+    not declare fails validation instead of being silently ignored."""
+    params = {"p": args.p, "degree": args.degree}
+    return {k: v for k, v in params.items() if v is not None}
 
 
 def build_graph(args: argparse.Namespace) -> StaticGraph:
     """Instantiate the requested graph family with the requested ID scheme."""
+    from repro.errors import ReproError
+
     try:
         return _build_family_graph(
-            args.family, args.n, seed=args.seed, p=args.p,
-            degree=args.degree, ids=args.ids,
+            args.family, args.n, seed=args.seed, ids=args.ids,
+            **_family_params(args),
         )
-    except KeyError as exc:
+    except (KeyError, ReproError) as exc:
         raise SystemExit(exc.args[0]) from exc
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     """The ``solve`` arguments as a :class:`Scenario`."""
-    params: dict[str, object] = {"p": args.p, "degree": args.degree}
+    params = _family_params(args)
     if args.b is not None:
         # --b is forwarded only to algorithms that declare it (theorem1,
         # theorem9); for the others it has always been a no-op — keep
@@ -570,8 +568,12 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", default="gnp",
                        help="graph family (see `repro sweep --list`)")
         p.add_argument("--n", type=int, default=32)
-        p.add_argument("--p", type=float, default=0.15)
-        p.add_argument("--degree", type=int, default=4)
+        p.add_argument("--p", type=float, default=None,
+                       help="family param p, e.g. gnp's edge probability "
+                            "(unset: the family's default)")
+        p.add_argument("--degree", type=int, default=None,
+                       help="family param degree, e.g. for regular "
+                            "(unset: the family's default)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--ids", default="identity",

@@ -90,33 +90,26 @@ def build_family_graph(
     family: str,
     n: int,
     seed: int = 0,
-    p: float = 0.15,
-    degree: int = 4,
     ids: str = "identity",
     **params: object,
 ) -> StaticGraph:
     """Instantiate a registered graph family with an ID scheme.
 
-    ``p`` and ``degree`` keep their historical role as convenience
-    defaults: they are forwarded only to families whose schema declares
-    them. Extra ``params`` must be declared by the family's schema
-    (unknown ones raise :class:`RegistryError` naming the schema), so a
-    typo fails loudly at build time.
+    ``params`` must be declared by the family's schema (unknown ones
+    raise :class:`RegistryError` naming the schema), so a typo fails
+    loudly at build time. Omitted params take the builder's own
+    defaults (e.g. ``p=0.15`` for ``gnp``, ``degree=4`` for ``regular``).
+    Solve runs reach this through :func:`repro.api.run_scenario`.
     """
     entry = GRAPH_FAMILIES.entry(family)
     id_assignment = resolve_id_assignment(ids, n, seed)
-    kwargs = dict(params)
-    if "p" in entry.params:
-        kwargs.setdefault("p", p)
-    if "degree" in entry.params:
-        kwargs.setdefault("degree", degree)
-    unknown = sorted(set(kwargs) - set(entry.params))
+    unknown = sorted(set(params) - set(entry.params))
     if unknown:
         raise RegistryError(
             f"family {entry.name!r} does not take parameter(s) {unknown}; "
             f"declared: {sorted(entry.params) or 'none'}"
         )
-    return entry.value(n, seed=seed, ids=id_assignment, **kwargs)
+    return entry.value(n, seed=seed, ids=id_assignment, **params)
 
 
 # ---------------------------------------------------------------------------

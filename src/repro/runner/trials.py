@@ -8,12 +8,11 @@ Two trial kinds:
   name* in its own process, so nothing but primitives crosses the pipe;
 - **solve** — one seeded ``(graph family, n, problem, algorithm)`` run,
   with the graph seed derived content-addressed from the sweep's master
-  seed (:func:`repro.runner.specs.derive_seed`). Families, problems,
-  and algorithms all resolve through the scenario registries
-  (:data:`repro.graphs.families.GRAPH_FAMILIES`,
-  :data:`repro.olocal.PROBLEMS`,
-  :data:`repro.core.algorithms.ALGORITHMS`), so registered plugins get
-  grid lanes — and content-addressed cache keys — for free.
+  seed (:func:`repro.runner.specs.derive_seed`). Its kwargs are the
+  fields of a :class:`repro.api.Scenario`, and the worker runs it with
+  :func:`repro.api.run_scenario` — the same path as ``repro solve`` —
+  so registered plugins get grid lanes (and content-addressed cache
+  keys) for free.
 
 Aggregation (:func:`aggregate_sweep`) folds ordered payloads back
 through the plans' aggregators — the same code path the serial
@@ -23,6 +22,7 @@ for any worker count.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterable, Sequence
 
 from repro.analysis.experiments import TRIAL_PLANS, ExperimentResult
@@ -122,198 +122,166 @@ def sweep_from_grid(
 ) -> SweepSpec:
     """Enumerate a seeded (family, n, problem, algorithm) solve grid.
 
-    Families, problems, algorithms — and, when the ``engines`` axis is
-    used, every (algorithm, engine) pair — are validated against the
-    registries up front (like experiment ids in
-    :func:`sweep_from_experiments`), so a typo fails at
-    spec-construction time rather than inside a worker.
+    This is the one place grid cells are enumerated; each trial comes
+    from :func:`grid_trial`. Every distinct cell is checked with
+    :meth:`repro.api.Scenario.validate` up front (like experiment ids in
+    :func:`sweep_from_experiments`), so an unknown name, an unsupported
+    engine or a size below 1 raises ``KeyError`` at spec-construction
+    time rather than inside a worker.
 
     A non-empty ``engines`` runs every grid cell once per engine. The
     per-trial seed is engine-*independent* (the same graph under every
     engine — an engine sweep doubles as a differential test), and the
     engine kwarg is appended **only when the axis is active**, so plain
     sweeps keep their pre-existing trial cache keys byte for byte —
-    the same contract as the fault kwargs below.
+    the same contract as the fault kwargs.
 
     Nonzero ``fault_drop``/``fault_corrupt`` put every trial on the
-    ``faulty-simulator`` engine; each trial's fault RNG seed is derived
-    content-addressed from its trial seed (and ``fault_seed``), so the
-    fault stream is as reproducible as the graph itself. Fault kwargs
-    are appended to the trial kwargs **only when the fault axis is
-    active**, so fault-free sweeps keep their pre-existing trial cache
-    keys byte for byte. The fault axis forces the ``faulty-simulator``
-    engine, so combining it with an ``engines`` axis is rejected.
+    ``faulty-simulator`` engine. The fault axis forces that engine, so
+    combining it with an ``engines`` axis is rejected.
     """
-    from repro.core.algorithms import ALGORITHMS
-    from repro.graphs.families import GRAPH_FAMILIES
-    from repro.olocal import PROBLEMS
-    from repro.registry import load_plugins
-
-    load_plugins()
-    bad = [f for f in families if f not in GRAPH_FAMILIES]
-    if bad:
-        raise KeyError(
-            f"unknown famil{'ies' if len(bad) > 1 else 'y'} {bad}; "
-            f"choose from {sorted(GRAPH_FAMILIES)}"
-        )
-    bad = [p for p in problems if p not in PROBLEMS]
-    if bad:
-        raise KeyError(
-            f"unknown problem(s) {bad}; choose from "
-            f"{sorted(PROBLEMS.alias_map())} or {sorted(PROBLEMS)}"
-        )
-    bad = [a for a in algorithms if a not in ALGORITHMS]
-    if bad:
-        raise KeyError(
-            f"unknown algorithm(s) {bad}; choose from "
-            f"{sorted(ALGORITHMS)} (aliases: {sorted(ALGORITHMS.alias_map())})"
-        )
-    # Canonicalize algorithm names so an alias ("bm21") and its target
-    # ("baseline") derive the same seeds, cache keys, and table rows.
-    # Problem names stay as given: they were (alias-)accepted verbatim
-    # before the registry existed, and canonicalizing them now would
-    # shift every pre-existing trial's derived seed and cache key.
-    algorithms = [ALGORITHMS.resolve(a) for a in algorithms]
-    faults_active = fault_drop > 0 or fault_corrupt > 0
-    engine_list = list(engines)
-    if engine_list and faults_active:
+    faults = dict(
+        fault_drop=fault_drop,
+        fault_corrupt=fault_corrupt,
+        fault_seed=fault_seed,
+        immune_rounds=tuple(immune_rounds),
+    )
+    engine_axis: list[str | None] = list(engines) or [None]
+    if engine_axis != [None] and (fault_drop > 0 or fault_corrupt > 0):
         raise KeyError(
             "the engines axis cannot be combined with fault injection "
             "(faults force the 'faulty-simulator' engine)"
         )
-    for algorithm in algorithms:
-        for engine in engine_list:
-            # UnknownNameError is a KeyError: same failure mode as the
-            # name checks above.
-            ALGORITHMS.get(algorithm).validate_engine(engine)
-    engine_axis: list[str | None] = engine_list or [None]
-    immune = tuple(sorted(set(immune_rounds)))
-    trials = []
-    for family in families:
-        for n in sizes:
-            for problem in problems:
-                for algorithm in algorithms:
-                    for engine in engine_axis:
-                        for t in range(trials_per_config):
-                            seed = derive_seed(
-                                master_seed, family, n, problem, algorithm, t
-                            )
-                            kwargs = [
-                                ("family", family),
-                                ("n", n),
-                                ("problem", problem),
-                                ("algorithm", algorithm),
-                                ("seed", seed),
-                            ]
-                            label = (
-                                f"{family}/n={n}/{problem}/{algorithm}#{t}"
-                            )
-                            if engine is not None:
-                                kwargs.append(("engine", engine))
-                                label += f"@{engine}"
-                            if faults_active:
-                                kwargs += [
-                                    ("fault_drop", fault_drop),
-                                    ("fault_corrupt", fault_corrupt),
-                                    (
-                                        "fault_seed",
-                                        derive_seed(seed, "fault", fault_seed),
-                                    ),
-                                    ("immune_rounds", immune),
-                                ]
-                                label += (
-                                    f"!d={fault_drop:g},c={fault_corrupt:g}"
-                                )
-                            trials.append(
-                                TrialSpec(
-                                    index=len(trials),
-                                    kind=KIND_SOLVE,
-                                    key=problem,
-                                    label=label,
-                                    kwargs=tuple(kwargs),
-                                    seed=seed,
-                                )
-                            )
+    trials: list[TrialSpec] = []
+    for family, n, problem, algorithm, engine in itertools.product(
+        families, sizes, problems, algorithms, engine_axis
+    ):
+        for t in range(trials_per_config):
+            trial = grid_trial(
+                family,
+                n,
+                problem,
+                algorithm,
+                t,
+                master_seed=master_seed,
+                index=len(trials),
+                engine=engine,
+                **faults,
+            )
+            if t == 0:
+                check_trial(trial)
+            trials.append(trial)
     return SweepSpec(name=name, trials=tuple(trials), master_seed=master_seed)
+
+
+def grid_trial(
+    family: str,
+    n: int,
+    problem: str,
+    algorithm: str,
+    t: int = 0,
+    *,
+    master_seed: int = 0,
+    index: int | None = None,
+    engine: str | None = None,
+    fault_drop: float = 0.0,
+    fault_corrupt: float = 0.0,
+    fault_seed: int = 0,
+    immune_rounds: Iterable[int] = (),
+) -> TrialSpec:
+    """Trial ``t`` of one grid cell, exactly as :func:`sweep_from_grid`
+    emits it (``index`` defaults to ``t``: its position in a one-cell
+    grid). Not validated; see :func:`check_trial`.
+
+    The seed is derived content-addressed from ``master_seed`` and the
+    cell's coordinates. Algorithm aliases are canonicalized first, so
+    "bm21" and "baseline" derive the same seeds, cache keys and rows;
+    problem names stay as given, because canonicalizing them would
+    shift every pre-existing trial's seed and cache key. Fault kwargs
+    are appended only when a fault probability is nonzero, with the
+    fault RNG seed derived from the trial seed and ``fault_seed``.
+    """
+    from repro.core.algorithms import ALGORITHMS
+    from repro.registry import load_plugins
+
+    load_plugins()
+    algorithm = ALGORITHMS.resolve(algorithm)
+    seed = derive_seed(master_seed, family, n, problem, algorithm, t)
+    kwargs: list[tuple[str, Any]] = [
+        ("family", family),
+        ("n", n),
+        ("problem", problem),
+        ("algorithm", algorithm),
+        ("seed", seed),
+    ]
+    label = f"{family}/n={n}/{problem}/{algorithm}#{t}"
+    if engine is not None:
+        kwargs.append(("engine", engine))
+        label += f"@{engine}"
+    if fault_drop > 0 or fault_corrupt > 0:
+        kwargs += [
+            ("fault_drop", fault_drop),
+            ("fault_corrupt", fault_corrupt),
+            ("fault_seed", derive_seed(seed, "fault", fault_seed)),
+            ("immune_rounds", tuple(sorted(set(immune_rounds)))),
+        ]
+        label += f"!d={fault_drop:g},c={fault_corrupt:g}"
+    return TrialSpec(
+        index=t if index is None else index,
+        kind=KIND_SOLVE,
+        key=problem,
+        label=label,
+        kwargs=tuple(kwargs),
+        seed=seed,
+    )
+
+
+def check_trial(spec: TrialSpec) -> None:
+    """Raise ``KeyError`` with every :meth:`Scenario.validate` error of a
+    solve trial (unknown names list the valid registry names)."""
+    from repro.api import Scenario
+
+    errors = Scenario(**spec.kwargs_dict()).validate()
+    if errors:
+        raise KeyError("; ".join(errors))
 
 
 # -- worker-side execution ---------------------------------------------------
 
 
-def solve_trial(
-    family: str,
-    n: int,
-    problem: str,
-    algorithm: str,
-    seed: int,
-    p: float = 0.15,
-    degree: int = 4,
-    engine: str | None = None,
-    fault_drop: float = 0.0,
-    fault_corrupt: float = 0.0,
-    fault_seed: int = 0,
-    immune_rounds: Sequence[int] = (),
-) -> dict[str, Any]:
-    """One seeded solve run, dispatched through the scenario registries;
-    returns a single table row.
+def solve_trial(**kwargs: Any) -> dict[str, Any]:
+    """One solve trial: ``run_scenario(Scenario(**kwargs))`` as a single
+    table row.
 
-    Runs worker-side: plugins are (re)loaded here so spawned workers —
+    :func:`repro.api.run_scenario` loads plugins, so spawned workers —
     which do not inherit the parent's registrations — resolve the same
     names the parent validated at spec time. An explicit ``engine``
-    (from the sweep's engines axis) is forwarded to the adapter and
-    echoed in an extra trailing row column. Nonzero fault
-    probabilities run on the ``faulty-simulator`` engine; protocols are
-    expected to raise (``ProtocolError``/``ValidationError``) when a
-    fault actually breaks them, which surfaces as a trial failure.
+    (from the sweep's engines axis) is echoed in an extra trailing row
+    column. Under fault injection, protocols are expected to raise
+    (``ProtocolError``/``ValidationError``) when a fault actually breaks
+    them, which surfaces as a trial failure.
     """
-    from repro.core.algorithms import ALGORITHMS, ENGINE_FAULTY
-    from repro.graphs.families import build_family_graph
-    from repro.obs.spans import span
-    from repro.olocal import PROBLEMS
-    from repro.registry import load_plugins
+    from repro.api import Scenario, run_scenario
 
-    load_plugins()
-    # Stage spans reuse the scenario.* names from repro.api.run_scenario
-    # so `repro trace` aggregates both entry points into the same rows.
-    with span("scenario.build_graph", family=family, n=n):
-        graph = build_family_graph(family, n, seed=seed, p=p, degree=degree)
-    if fault_drop > 0 or fault_corrupt > 0:
-        from repro.model.faults import FaultPlan
-
-        plan = FaultPlan(
-            drop_probability=fault_drop,
-            corrupt_probability=fault_corrupt,
-            seed=fault_seed if fault_seed else seed,
-            immune_rounds=frozenset(immune_rounds),
-        )
-        with span(
-            "scenario.solve", algorithm=algorithm, engine=ENGINE_FAULTY
-        ):
-            outcome = ALGORITHMS.get(algorithm).solve(
-                graph,
-                PROBLEMS.get(problem),
-                engine=ENGINE_FAULTY,
-                fault_plan=plan,
-            )
-    else:
-        with span("scenario.solve", algorithm=algorithm, engine=engine):
-            outcome = ALGORITHMS.get(algorithm).solve(
-                graph, PROBLEMS.get(problem), engine=engine
-            )
+    scenario = Scenario(**kwargs)
+    result = run_scenario(scenario)
+    if result.errors:
+        raise KeyError("; ".join(result.errors))
+    graph, outcome = result.graph, result.outcome
     row = (
-        family,
+        scenario.family,
         graph.n,
-        problem,
-        algorithm,
-        seed,
+        scenario.problem,
+        scenario.algorithm,
+        scenario.seed,
         graph.max_degree,
         outcome.awake_complexity,
         round(outcome.average_awake, 2),
         outcome.round_complexity,
         outcome.messages_sent,
     )
-    if engine is not None:
-        row += (engine,)
+    if scenario.engine is not None:
+        row += (scenario.engine,)
     return {"rows": [row]}
 
 

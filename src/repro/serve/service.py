@@ -73,7 +73,13 @@ from repro import api
 from repro.obs import counters
 from repro.obs.spans import span
 from repro.runner.cache import DEFAULT_CACHE_DIR, TrialCache
-from repro.runner.trials import SOLVE_HEADERS, execute_trial, sweep_from_grid
+from repro.runner.trials import (
+    SOLVE_HEADERS,
+    check_trial,
+    execute_trial,
+    grid_trial,
+    sweep_from_grid,
+)
 from repro.serve.dag import provenance, sweep_dag
 from repro.serve.store import ResultStore, StoreError
 
@@ -98,25 +104,23 @@ def solve_spec(
 ):
     """The exact grid :class:`~repro.runner.specs.TrialSpec` of one query.
 
-    Built *by* :func:`~repro.runner.trials.sweep_from_grid` (a
-    one-cell grid, taking its last trial), so the kwargs order, the
-    content-addressed per-trial seed, and therefore the trial cache key
-    are guaranteed to match the spec any sweep of this scenario
-    produces — the warm-cache contract. Unknown names raise the grid's
-    ``KeyError`` listing the valid registry names.
+    Built by :func:`~repro.runner.trials.grid_trial` — the per-cell
+    helper :func:`~repro.runner.trials.sweep_from_grid` loops over — so
+    the kwargs order, the content-addressed per-trial seed, and
+    therefore the trial cache key match the spec any sweep of this
+    scenario produces (the warm-cache contract). Only the requested
+    trial is built, so the cost does not grow with ``trial``. Invalid
+    queries raise the grid's ``KeyError`` (unknown names list the valid
+    registry names).
     """
     if trial < 0:
         raise ServiceError(400, f"trial must be >= 0, got {trial}")
-    spec = sweep_from_grid(
-        families=(family,),
-        sizes=(n,),
-        problems=(problem,),
-        algorithms=(algorithm,),
-        trials_per_config=trial + 1,
-        master_seed=seed,
-        engines=(engine,) if engine else (),
+    spec = grid_trial(
+        family, n, problem, algorithm, trial, master_seed=seed,
+        engine=engine or None,
     )
-    return spec.trials[-1]
+    check_trial(spec)
+    return spec
 
 
 class SweepJob:
@@ -292,7 +296,7 @@ class ReproService:
                 engine=params.get("engine") or None,
             )
         except KeyError as exc:
-            # sweep_from_grid's registry errors list the valid names.
+            # Grid validation errors list the valid registry names.
             raise ServiceError(400, str(exc.args[0])) from exc
         started = time.perf_counter()
         cached = self.cache.load(spec)

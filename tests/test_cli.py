@@ -54,22 +54,6 @@ class TestBuildGraph:
 class TestDeprecatedShims:
     """Pre-registry imports from repro.cli keep working."""
 
-    def test_build_family_graph_shim(self):
-        from repro.cli import build_family_graph
-
-        graph = build_family_graph("path", 9, seed=1)
-        assert graph.n == 9
-
-    def test_problem_aliases_shim(self):
-        from repro.cli import PROBLEM_ALIASES
-
-        assert PROBLEM_ALIASES == {
-            "coloring": "delta_plus_one_coloring",
-            "mis": "maximal_independent_set",
-            "list-coloring": "degree_plus_one_list_coloring",
-            "vertex-cover": "minimal_vertex_cover",
-        }
-
     def test_graph_families_shim_iterates_names(self):
         from repro.cli import GRAPH_FAMILIES
 
@@ -122,6 +106,35 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "greedy: awake=1 avg=1.0 rounds=10 messages=9" in out
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--family", "gnp", "--n", "24", "--algorithm", "greedy",
+              "--problem", "coloring"],
+             ["graph: gnp n=24 edges=37 Δ=7 id_space=24",
+              "greedy: awake=1 avg=1.0 rounds=24 messages=37"]),
+            (["--family", "regular", "--n", "25", "--algorithm",
+              "baseline", "--problem", "mis"],
+             ["graph: regular n=25 edges=50 Δ=4 id_space=25",
+              "baseline: awake=6 avg=6.0 rounds=56 messages=384"]),
+        ],
+    )
+    def test_solve_default_family_params_unchanged(
+        self, capsys, argv, expected
+    ):
+        # Unset --p/--degree fall back to the family builders' own
+        # defaults (p=0.15, degree=4): the same graphs as before.
+        assert main(["solve", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == expected
+
+    def test_solve_undeclared_family_param_rejected(self):
+        # path takes no p: setting it fails instead of being ignored.
+        with pytest.raises(
+            SystemExit, match=r"unknown scenario param\(s\) \['p'\]"
+        ):
+            main(["solve", "--family", "path", "--n", "8", "--p", "0.3"])
 
     def test_solve_algorithm_alias_resolves(self, capsys):
         code = main(["solve", "--family", "path", "--n", "8",

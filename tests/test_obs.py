@@ -339,6 +339,18 @@ class TestCliRoundTrips:
     def test_sweep_trace_then_trace_and_stats(self, tmp_path, capsys):
         trace_file, artifact = self._traced_sweep(tmp_path, capsys)
         assert trace_file.exists() and artifact.exists()
+        # Grid trials run through run_scenario: one scenario.run span
+        # (with its validate/build/solve children) per solve trial.
+        records, bad = load_trace(trace_file)
+        assert bad == 0
+        spans = [r for r in records if r.get("kind") == "span"]
+        names = [r["name"] for r in spans]
+        assert names.count("scenario.run") == 2
+        assert names.count("scenario.validate") == 2
+        assert names.count("scenario.build_graph") == 2
+        assert names.count("scenario.solve") == 2
+        counters = json.loads(artifact.read_text())["observability"]["counters"]
+        assert counters["scenario.run"] == 2
 
         assert main(["trace", str(trace_file)]) == 0
         out = capsys.readouterr().out

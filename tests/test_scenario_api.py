@@ -216,17 +216,24 @@ class TestRunGrid:
     def test_scenarios_from_grid_matches_sweep_seeds(self):
         scenarios = scenarios_from_grid(
             families=("path",), sizes=(8,), problems=("mis",),
-            algorithms=("theorem1", "greedy"), trials=2, seed=9,
+            algorithms=("theorem1", "greedy", "bm21"), trials=2, seed=9,
         )
         spec = sweep_from_grid(
             families=("path",), sizes=(8,), problems=("mis",),
-            algorithms=("theorem1", "greedy"), trials_per_config=2,
+            algorithms=("theorem1", "greedy", "bm21"), trials_per_config=2,
             master_seed=9,
         )
         assert [s.seed for s in scenarios] == [t.seed for t in spec.trials]
         assert [s.algorithm for s in scenarios] == [
             t.kwargs_dict()["algorithm"] for t in spec.trials
         ]
+        assert scenarios[-1].algorithm == "baseline"
+
+    def test_scenarios_from_grid_rejects_unknown_names(self):
+        with pytest.raises(KeyError, match="unknown family 'nope'"):
+            scenarios_from_grid(
+                families=("nope",), sizes=(8,), problems=("mis",)
+            )
 
 
 class TestCatalog:

@@ -15,9 +15,10 @@ import urllib.request
 import pytest
 
 from repro import api
-from repro.runner import TrialCache, run_sweep, sweep_from_grid
+from repro.runner import TrialCache, derive_seed, run_sweep, sweep_from_grid
 from repro.runner.artifacts import write_sweep_artifact
 from repro.serve import ReproService, ResultStore, canonical_json
+from repro.serve.service import solve_spec
 
 
 class Client:
@@ -174,6 +175,33 @@ class TestSolve:
         assert status == 400
         assert "integer" in body["error"]
 
+    def test_size_below_one_is_400(self, served):
+        status, body = served["client"].get(
+            "/solve?family=path&n=0&problem=mis&algorithm=greedy"
+        )
+        assert status == 400
+        assert "n must be >= 1, got 0" in body["error"]
+
+    @pytest.mark.parametrize("trial", [0, 3])
+    def test_solve_spec_is_the_sweeps_last_trial(self, trial):
+        expected = sweep_from_grid(
+            families=("gnp",), sizes=(16,), problems=("mis",),
+            algorithms=("bm21",), trials_per_config=trial + 1,
+            master_seed=7, engines=("simulator",),
+        ).trials[-1]
+        assert solve_spec(
+            "gnp", 16, "mis", "bm21", trial=trial, seed=7,
+            engine="simulator",
+        ) == expected
+
+    def test_solve_spec_cost_independent_of_trial(self):
+        """Only the requested trial is built: trial 10**9 is O(1)."""
+        started = time.perf_counter()
+        spec = solve_spec("path", 16, "mis", "greedy", trial=10**9, seed=3)
+        assert time.perf_counter() - started < 0.5
+        assert spec.seed == derive_seed(3, "path", 16, "mis", "greedy", 10**9)
+        assert spec.label == f"path/n=16/mis/greedy#{10**9}"
+
 
 class TestSweepQueries:
     def test_sweep_listing_and_summary(self, served):
@@ -296,6 +324,13 @@ class TestSweepSubmission:
         assert status == 400
         assert "unknown family" in body["error"]
         assert "'path'" in body["error"]
+
+    def test_submit_size_below_one_is_400(self, served):
+        status, body = served["client"].post("/sweeps", {
+            "families": ["path"], "sizes": [16, 0],
+        })
+        assert status == 400
+        assert "n must be >= 1, got 0" in body["error"]
 
     def test_unknown_job_is_404(self, served):
         status, body = served["client"].get("/jobs/job-999")

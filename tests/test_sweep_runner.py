@@ -134,6 +134,25 @@ class TestSpecs:
         with pytest.raises(KeyError, match="unknown problem"):
             sweep_from_grid(families=["path"], sizes=[8], problems=["msi"])
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_grid_rejects_sizes_below_one_at_spec_time(self, size):
+        with pytest.raises(KeyError, match=f"n must be >= 1, got {size}"):
+            sweep_from_grid(families=["path"], sizes=[8, size], problems=["mis"])
+
+    def test_grid_rejects_fault_axis_on_fault_incapable_algorithm(self):
+        # Each cell is a validated Scenario: greedy cannot run on the
+        # faulty-simulator engine the fault axis selects.
+        with pytest.raises(
+            KeyError, match="does not support engine 'faulty-simulator'"
+        ):
+            sweep_from_grid(
+                families=["path"],
+                sizes=[8],
+                problems=["mis"],
+                algorithms=["greedy"],
+                fault_drop=0.1,
+            )
+
     def test_grid_canonicalizes_algorithm_aliases(self):
         # "bm21" and "baseline" are the same sweep: same derived seeds,
         # same kwargs (and therefore the same cache keys and rows).
@@ -153,7 +172,7 @@ class TestSpecs:
         ]
 
     def test_grid_family_registry_matches_builder(self):
-        from repro.cli import GRAPH_FAMILIES, build_family_graph
+        from repro.graphs.families import GRAPH_FAMILIES, build_family_graph
 
         for family in GRAPH_FAMILIES:
             assert build_family_graph(family, 12, seed=1).n >= 4
@@ -337,6 +356,21 @@ class TestSweepCli:
     def test_sweep_command_unknown_family_fails(self):
         with pytest.raises(SystemExit, match="unknown family"):
             main(["sweep", "--grid", "--families", "typo", "--no-artifact"])
+
+    def test_sweep_command_size_below_one_fails(self):
+        with pytest.raises(SystemExit, match="n must be >= 1, got 0"):
+            main(
+                [
+                    "sweep",
+                    "--grid",
+                    "--families",
+                    "path",
+                    "--sizes",
+                    "0",
+                    "--no-artifact",
+                    "--no-cache",
+                ]
+            )
 
     def test_sweep_command_no_artifact(self, tmp_path, capsys):
         argv = ["sweep", "--experiments", "E4", "--no-artifact", "--no-cache"]
