@@ -55,10 +55,19 @@ auto-ingested, so its tables are immediately queryable.
 Every request is traced (``serve.request`` spans) and counted
 (``serve.request``, ``serve.solve.hit`` / ``.miss`` counters) through
 :mod:`repro.obs`; tracing never changes any served byte.
+
+Connections are kept alive (HTTP/1.1). Each reply is buffered and
+leaves as one write on a ``TCP_NODELAY`` socket, so a persistent
+client never waits out a delayed ACK. A ``POST`` body is read in full
+before routing, and only when its ``Content-Length`` is well formed
+and at most :data:`MAX_BODY_BYTES`; otherwise the reply is a 400, 411
+or 413 that closes the connection.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import queue
@@ -83,14 +92,22 @@ from repro.runner.trials import (
 from repro.serve.dag import provenance, sweep_dag
 from repro.serve.store import ResultStore, StoreError
 
+MAX_BODY_BYTES = 1 << 20
+"""The largest request body ``repro serve`` reads; a longer one is a 413."""
+
 
 class ServiceError(Exception):
-    """An HTTP error response: ``raise ServiceError(400, "message")``."""
+    """An HTTP error response: ``raise ServiceError(400, "message")``.
 
-    def __init__(self, status: int, message: str) -> None:
+    ``close=True`` marks a request whose body framing cannot be trusted:
+    the reply says ``Connection: close`` and the server hangs up after it.
+    """
+
+    def __init__(self, status: int, message: str, close: bool = False) -> None:
         super().__init__(message)
         self.status = status
         self.message = message
+        self.close = close
 
 
 def solve_spec(
@@ -502,43 +519,115 @@ def _list_field(body: dict[str, Any], name: str, default: Any) -> Any:
     return value
 
 
+def _json_object(raw: bytes) -> dict[str, Any]:
+    """A POST body parsed as a JSON object; an empty body is ``{}``."""
+    if not raw:
+        return {}
+    try:
+        body = json.loads(raw)
+    except ValueError as exc:
+        raise ServiceError(400, f"request body is not JSON: {exc}") from None
+    if not isinstance(body, dict):
+        raise ServiceError(400, "request body must be a JSON object")
+    return body
+
+
 def _make_handler(service: ReproService) -> type[BaseHTTPRequestHandler]:
     """A request-handler class closed over one service instance."""
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve"
+        # Buffer each reply and flush it once, on a no-delay socket:
+        # status line, headers and body leave in one write, so a
+        # kept-alive client never waits out a delayed ACK (~40 ms) for
+        # a body sent as a second small segment.
+        wbufsize = -1
+        disable_nagle_algorithm = True
 
         def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
             pass  # request logging goes through obs spans, not stderr
 
         # -- plumbing ----------------------------------------------------
 
-        def _reply_json(self, status: int, value: Any) -> None:
+        def handle_expect_100(self) -> bool:
+            # The client holds the body back until this interim reply
+            # arrives, so it cannot wait in the write buffer.
+            super().handle_expect_100()
+            self.wfile.flush()
+            return True
+
+        def _reply_json(
+            self, status: int, value: Any, close: bool = False
+        ) -> None:
             body = (
                 json.dumps(value, indent=2, ensure_ascii=False) + "\n"
             ).encode("utf-8")
-            self._reply_bytes(status, body)
+            self._reply_bytes(status, body, close)
 
-        def _reply_bytes(self, status: int, body: bytes) -> None:
+        def _reply_bytes(
+            self, status: int, body: bytes, close: bool = False
+        ) -> None:
             self.send_response(status)
             self.send_header("Content-Type", "application/json; charset=utf-8")
             self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _read_body(self) -> dict[str, Any]:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                return {}
+            if close:  # also sets close_connection: hang up after this
+                self.send_header("Connection", "close")
             try:
-                body = json.loads(raw)
-            except ValueError as exc:
-                raise ServiceError(400, f"request body is not JSON: {exc}")
-            if not isinstance(body, dict):
-                raise ServiceError(400, "request body must be a JSON object")
-            return body
+                self.end_headers()
+                self.wfile.write(body)
+                self.wfile.flush()
+            except ConnectionError:
+                self._hang_up()
+
+        def _hang_up(self) -> None:
+            """The client went away mid-reply: write nothing more to it.
+
+            Closing the socket file drops the unsent rest of the reply;
+            the empty stand-in leaves the request loop's last flush with
+            nothing to send to the dead socket.
+            """
+            counters.add("serve.request.dropped")
+            self.close_connection = True
+            with contextlib.suppress(OSError):
+                self.wfile.close()
+            self.wfile = io.BytesIO()
+
+        def _read_body(self) -> bytes:
+            """The request body, after checking its ``Content-Length``.
+
+            A missing (chunked), malformed or oversized length is
+            refused without reading the body; the connection is then
+            unframed, so the reply closes it.
+            """
+            if "Transfer-Encoding" in self.headers:
+                raise ServiceError(
+                    411,
+                    "send the request body with a Content-Length, not "
+                    "a Transfer-Encoding",
+                    close=True,
+                )
+            declared = self.headers.get("Content-Length", "0")
+            if not (declared.isascii() and declared.isdigit()):
+                raise ServiceError(
+                    400,
+                    f"Content-Length must be a non-negative integer, "
+                    f"got {declared!r}",
+                    close=True,
+                )
+            # Count digits before int(), which refuses over 4300 of them.
+            digits = declared.lstrip("0") or "0"
+            if (
+                len(digits) > len(str(MAX_BODY_BYTES))
+                or int(digits) > MAX_BODY_BYTES
+            ):
+                raise ServiceError(
+                    413,
+                    f"request body exceeds the limit of {MAX_BODY_BYTES} bytes",
+                    close=True,
+                )
+            length = int(digits)
+            return self.rfile.read(length) if length else b""
 
         def _dispatch(self, method: str) -> None:
             parsed = urlparse(self.path)
@@ -548,15 +637,21 @@ def _make_handler(service: ReproService) -> type[BaseHTTPRequestHandler]:
             counters.add("serve.request")
             try:
                 with span("serve.request", method=method, path=parsed.path):
-                    self._route(method, parts, dict(parse_qsl(parsed.query)))
+                    if method == "GET":
+                        self._route_get(parts, dict(parse_qsl(parsed.query)))
+                    else:
+                        # Read before routing, so that no reply leaves
+                        # an unread body to desync a kept-alive
+                        # connection.
+                        self._route_post(parts, self._read_body())
             except ServiceError as exc:
                 counters.add("serve.request.error")
-                self._reply_json(exc.status, {"error": exc.message})
+                self._reply_json(
+                    exc.status, {"error": exc.message}, close=exc.close
+                )
             except StoreError as exc:
                 counters.add("serve.request.error")
                 self._reply_json(403, {"error": str(exc)})
-            except BrokenPipeError:
-                pass  # client went away mid-reply
             except Exception as exc:  # one bad request must not kill serve
                 counters.add("serve.request.error")
                 self._reply_json(
@@ -564,14 +659,6 @@ def _make_handler(service: ReproService) -> type[BaseHTTPRequestHandler]:
                 )
 
         # -- routing -----------------------------------------------------
-
-        def _route(
-            self, method: str, parts: list[str], params: dict[str, str]
-        ) -> None:
-            if method == "GET":
-                self._route_get(parts, params)
-            else:
-                self._route_post(parts)
 
         def _route_get(
             self, parts: list[str], params: dict[str, str]
@@ -624,13 +711,15 @@ def _make_handler(service: ReproService) -> type[BaseHTTPRequestHandler]:
                 f"for the endpoint table",
             )
 
-        def _route_post(self, parts: list[str]) -> None:
+        def _route_post(self, parts: list[str], body: bytes) -> None:
             if parts == ["sweeps"]:
                 return self._reply_json(
-                    202, service.submit_sweep(self._read_body())
+                    202, service.submit_sweep(_json_object(body))
                 )
             if parts == ["ingest"]:
-                return self._reply_json(200, service.ingest(self._read_body()))
+                return self._reply_json(
+                    200, service.ingest(_json_object(body))
+                )
             if parts == ["shutdown"]:
                 self._reply_json(200, {"status": "shutting down"})
                 # shutdown() blocks until serve_forever returns, so it
