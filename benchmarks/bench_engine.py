@@ -3,11 +3,10 @@
 
 Measures, on the same machine and in the same process:
 
-- **graph_construction** — ``StaticGraph.from_edges`` (trusted build +
-  eager CSR index) vs the seed's per-edge revalidation of the same
-  adjacency;
+- **graph_construction** — ``StaticGraph.from_edges`` (trusted build)
+  vs the seed's per-edge revalidation of the same adjacency;
 - **nodes_neighbors_access** — repeated ``nodes``/``degree``/``neighbors``
-  sweeps on the cached index vs the seed's sort-per-access semantics;
+  sweeps on the cached aggregates vs the seed's sort-per-access semantics;
 - **sim_wake / sim_broadcast** — :class:`SleepingSimulator` (bucketed
   wake queue + lockstep carry + zero-copy broadcast + lazy inboxes) vs
   the seed stack: :class:`ReferenceSleepingSimulator` driving programs
@@ -225,8 +224,8 @@ def bench_graph(n, reps, results):
     }
 
     # Repeated property access: the seed recomputed nodes (sort), node-set
-    # membership, max_degree and num_edges on *every* access; the index
-    # serves all four from the one-shot CSR build.
+    # membership, max_degree and num_edges on *every* access; the graph
+    # computes each once and caches it.
     sweeps = 400
     probe = n // 2
 

@@ -37,13 +37,14 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.core.bm21 import BaselineResult
 from repro.core.linial import final_palette, reduction_schedule
 from repro.core.mapping import ColorScheduleMapping
 from repro.errors import ProtocolError, ReproError
 from repro.graphs.arrays import (
     ragged_gather,
-    require_numpy,
     segment_any,
     sorted_unique,
 )
@@ -66,7 +67,6 @@ def _linial_step_vectorized(graph: StaticGraph, colors: Any, d: int, q: int) -> 
     :func:`repro.core.linial._reduce_one`, with the per-x safety check
     batched over the still-undecided frontier.
     """
-    np = require_numpy()
     ga = graph.arrays
     width = d + 1
     digits = np.empty((ga.n, width), dtype=np.int64)
@@ -122,7 +122,6 @@ def solve_with_baseline_vectorized(
     O(V + E) Python output validation, for throughput measurements at
     n ≥ 10⁶ where validation would dominate the vectorized runtime.
     """
-    np = require_numpy()
     delta = max(graph.max_degree, 1)
     node_inputs = (
         dict(inputs) if inputs is not None else problem.make_inputs(graph)

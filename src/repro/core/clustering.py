@@ -18,7 +18,6 @@ call them in tests and benchmarks after every construction step.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
@@ -63,7 +62,7 @@ class UniquelyLabeledBFSClustering:
         dist: dict[NodeId, int] = {}
         for members in _group(assignment).values():
             root = min(members)
-            dist.update(_induced_bfs(graph, members, root))
+            dist.update(graph.bfs_distances(root, within=members))
         return UniquelyLabeledBFSClustering(dict(assignment), dist)
 
     # -- queries -----------------------------------------------------------
@@ -162,7 +161,7 @@ class ColoredBFSClustering:
         """All clusters: connected components of each color class."""
         out = []
         for color, members in sorted(_group(self.color).items(), key=lambda kv: repr(kv[0])):
-            for comp in _components(graph, members):
+            for comp in graph.connected_components(within=members):
                 roots = [v for v in comp if self.dist[v] == 0]
                 root = roots[0] if len(roots) == 1 else min(comp)
                 out.append(Cluster(key=color, root=root, members=frozenset(comp)))
@@ -202,7 +201,7 @@ class ColoredBFSClustering:
         if set(self.dist) != covered:
             raise ClusteringError("dist does not cover exactly the node set")
         for color, members in _group(self.color).items():
-            for comp in _components(graph, members):
+            for comp in graph.connected_components(within=members):
                 _validate_bfs_component(
                     graph,
                     comp,
@@ -234,42 +233,9 @@ def _group(mapping: Mapping[NodeId, Hashable]) -> dict[Hashable, set[NodeId]]:
     return grouped
 
 
-def _components(graph: StaticGraph, members: set[NodeId]) -> list[set[NodeId]]:
-    remaining = set(members)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in graph.neighbors(v):
-                if u in remaining and u not in comp:
-                    comp.add(u)
-                    queue.append(u)
-        remaining -= comp
-        comps.append(comp)
-    return comps
-
-
-def _induced_bfs(
-    graph: StaticGraph, members: set[NodeId] | frozenset[NodeId], root: NodeId
-) -> dict[NodeId, int]:
-    """BFS distances from ``root`` inside the subgraph induced by members."""
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in graph.neighbors(v):
-            if u in members and u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
 def _validate_bfs_component(
     graph: StaticGraph,
-    members: set[NodeId],
+    members: set[NodeId] | frozenset[NodeId],
     dist: Mapping[NodeId, int],
     what: str,
     require_connected: bool,
@@ -280,7 +246,7 @@ def _validate_bfs_component(
             f"{what} has {len(roots)} roots (δ=0 nodes); expected exactly 1"
         )
     root = roots[0]
-    bfs = _induced_bfs(graph, members, root)
+    bfs = graph.bfs_distances(root, within=members)
     if require_connected and set(bfs) != set(members):
         raise ClusteringError(
             f"{what} is disconnected: {len(members) - len(bfs)} nodes "

@@ -7,7 +7,7 @@ is lockstep: the vround calendar of each member is a closed-form function
 of a handful of per-cluster integers (the tree label c2, its parent's
 c2, the BFS depths δ and δ', and the deterministic Linial/cast
 durations).  This module replays the whole pipeline as numpy kernels
-over the :class:`~repro.graphs.arrays.GraphArrays` CSR mirror:
+over the :class:`~repro.graphs.arrays.GraphArrays` CSR arrays:
 
 - **the virtual graph H** of each phase is a cluster-level CSR built
   with ``np.unique`` over inter-cluster edge keys;
@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.core.lemma14 import lemma14_duration
 from repro.core.lemma15 import (
     c2_bound,
@@ -57,7 +59,6 @@ from repro.core.virtual import virtual_duration
 from repro.errors import ProtocolError, ReproError
 from repro.graphs.arrays import (
     ragged_gather,
-    require_numpy,
     segment_any,
     segment_sum,
     sorted_unique,
@@ -72,11 +73,10 @@ from repro.obs.spans import span
 _BIG = 1 << 62
 
 
-def _segment_min(np: Any, values: Any, offsets: Any, fill: int) -> Any:
+def _segment_min(values: Any, offsets: Any, fill: int) -> Any:
     """Per-segment minima of ``values`` delimited by CSR ``offsets``.
 
     Args:
-        np: the numpy module.
         values: int64 data, segment-contiguous in ``offsets`` order.
         offsets: CSR row pointers (length ``num_segments + 1``).
         fill: value returned for empty segments.
@@ -95,7 +95,6 @@ def _segment_min(np: Any, values: Any, offsets: Any, fill: int) -> Any:
 
 
 def _linial_step_pairs(
-    np: Any,
     colors: Any,
     labels: Any,
     csrs: list[tuple[Any, Any]],
@@ -111,7 +110,6 @@ def _linial_step_pairs(
     pairs) and the distance-1 coloring of an induced subgraph.
 
     Args:
-        np: the numpy module.
         colors: current int64 colors, one per vertex.
         labels: per-vertex IDs, for error messages only.
         csrs: list of ``(offsets, dst)`` conflict CSRs; a vertex clashes
@@ -166,7 +164,7 @@ def _linial_step_pairs(
 
 
 def _masked_bfs(
-    np: Any, offsets: Any, flat: Any, sources: Any, group: Any, member: Any
+    offsets: Any, flat: Any, sources: Any, group: Any, member: Any
 ) -> Any:
     """Multi-source BFS restricted to same-group member vertices.
 
@@ -175,7 +173,6 @@ def _masked_bfs(
     clusters flood concurrently without interfering.
 
     Args:
-        np: the numpy module.
         offsets: CSR row pointers.
         flat: CSR neighbor slots.
         sources: int64 slots at distance 0.
@@ -221,7 +218,6 @@ def _clustering_kernel(
         and the raw per-slot ``(phase, gamma, dist)`` int64 columns so
         downstream kernels can derive colors without walking the dict.
     """
-    np = require_numpy()
     metrics = SimulationMetrics()
     if graph.n == 0:
         empty = np.zeros(0, dtype=np.int64)
@@ -254,7 +250,7 @@ def _clustering_kernel(
         if active.any():
             clock_14 = clock + window15
             label, delta, active = _run_phase(
-                np, graph, b, i, ls, clock, clock_14,
+                graph, b, i, ls, clock, clock_14,
                 label, delta, active,
                 awake, msgs, termination,
                 out_phase, out_gamma, out_dist, round_chunks,
@@ -287,7 +283,6 @@ def _clustering_kernel(
 
 
 def _run_phase(
-    np: Any,
     graph: StaticGraph,
     b: int,
     i: int,
@@ -311,7 +306,6 @@ def _run_phase(
     phase's ``(label, delta, active)`` G-state.
 
     Args:
-        np: the numpy module.
         graph: the network.
         b: the phase parameter.
         i: the 1-indexed phase number.
@@ -378,7 +372,7 @@ def _run_phase(
     c0 = hlabels - 1
     for d, q in sched2:
         c0 = _linial_step_pairs(
-            np, c0, hlabels, [(hoff, hflat), (roff, rw)], d, q
+            c0, hlabels, [(hoff, hflat), (roff, rw)], d, q
         )
     c1 = np.where(hdeg <= b, c0 + 1 + k, c0 + 1)
 
@@ -387,22 +381,21 @@ def _run_phase(
     # it; the relayed set may repeat direct neighbors, which can never
     # win case 3 (all direct colors exceed c1 there).
     rc = c1[rw]
-    dmin_c = _segment_min(np, c1[hflat], hoff, _BIG)
-    rmin_c = _segment_min(np, rc, roff, _BIG)
+    dmin_c = _segment_min(c1[hflat], hoff, _BIG)
+    rmin_c = _segment_min(rc, roff, _BIG)
     root_h = (dmin_c > c1) & (rmin_c > c1)
     case2 = ~root_h & (dmin_c < c1)
     case3 = ~root_h & ~case2
     darg = _segment_min(
-        np, np.where(c1[hflat] == dmin_c[hes], hflat, _BIG), hoff, _BIG
+        np.where(c1[hflat] == dmin_c[hes], hflat, _BIG), hoff, _BIG
     )
-    rarg = _segment_min(np, np.where(rc == rmin_c[rsrc], rw, _BIG), roff, _BIG)
+    rarg = _segment_min(np.where(rc == rmin_c[rsrc], rw, _BIG), roff, _BIG)
     p1 = np.where(case2, darg, np.where(case3, rarg, -1))
     parent_c1 = np.where(root_h, 0, np.where(case2, dmin_c, rmin_c))
     c2 = np.where(root_h, 0, 2 * parent_c1 + case3)
     p2 = np.where(case2, p1, np.int64(-1))
     if case3.any():
         common = _segment_min(
-            np,
             np.where(case3[rsrc] & (rw == p1[rsrc]), rmid, _BIG),
             roff,
             _BIG,
@@ -441,7 +434,7 @@ def _run_phase(
             f"deg = {int(hdeg[v])} > b = {b} — contradicts Lemma 15"
         )
     d_h = _masked_bfs(
-        np, hoff, hflat, np.flatnonzero(p2 < 0), rootidx,
+        hoff, hflat, np.flatnonzero(p2 < 0), rootidx,
         np.ones(num_h, dtype=bool),
     )
     if (d_h < 0).any():
@@ -470,7 +463,7 @@ def _run_phase(
         ucol = hlabels[uid] - 1
         for d, q in sched_u:
             ucol = _linial_step_pairs(
-                np, ucol, hlabels[uid], [(uoff, uofv[hflat[upair]])], d, q
+                ucol, hlabels[uid], [(uoff, uofv[hflat[upair]])], d, q
             )
         gamma_u = ucol + 1
         if (gamma_u > ab2).any() or (gamma_u < 1).any():
@@ -545,7 +538,7 @@ def _run_phase(
         if (sel & sing_s).any():
             parts.append(sing_rounds)
         vrs = sorted_unique(np.concatenate(parts))
-        offs = _member_offsets(np, n, int(dd))
+        offs = _member_offsets(n, int(dd))
         round_chunks.append(
             (clock + vrs[:, None] * window + offs[None, :]).ravel()
         )
@@ -567,7 +560,6 @@ def _run_phase(
     hres_e = res_h[hes] & res_h[hflat]
     same_super = hres_e & (rootidx[hes] == rootidx[hflat])
     parent2_h = _segment_min(
-        np,
         np.where(same_super & (d_h[hflat] == d_h[hes] - 1), hflat, _BIG),
         hoff,
         _BIG,
@@ -622,7 +614,7 @@ def _run_phase(
         if pos.size:
             parts += [n - pos + 2, n + pos + 2]
         vrs = sorted_unique(np.concatenate(parts))
-        offs = _member_offsets(np, n, int(dd))
+        offs = _member_offsets(n, int(dd))
         round_chunks.append(
             (clock_14 + vrs[:, None] * window + offs[None, :]).ravel()
         )
@@ -639,7 +631,7 @@ def _run_phase(
             f"{int(root_counts[h])} roots"
         )
     dist_new = _masked_bfs(
-        np, ga.offsets, ga.flat, np.flatnonzero(is_root), rt_s, residual
+        ga.offsets, ga.flat, np.flatnonzero(is_root), rt_s, residual
     )
     if (dist_new[residual] < 0).any():
         v = np.flatnonzero(residual & (dist_new < 0))[0]
@@ -683,7 +675,6 @@ def compute_clustering_vectorized(
         # tested in tests/test_clustering_validation.py.
         result = _package(graph, assignments, simulation, chosen_b, False)
         if validate:
-            np = require_numpy()
             out_phase, out_gamma, out_dist = columns
             sp = singleton_palette(chosen_b)
             col = (out_phase - 1) * np.int64(sp) + out_gamma
@@ -724,7 +715,6 @@ def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> Non
     """
     from repro.core.clustering import ClusteringError
 
-    np = require_numpy()
     ga = graph.arrays
     n = len(ga.ids)
     if len(color) != n:
@@ -773,7 +763,7 @@ def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> Non
     # δ must be the induced BFS distance from the component's root: one
     # multi-source wave, each root flooding only its own component.
     depth = _masked_bfs(
-        np, ga.offsets, ga.flat, np.flatnonzero(roots), comp,
+        ga.offsets, ga.flat, np.flatnonzero(roots), comp,
         np.ones(n, dtype=bool),
     )
     mismatch = np.flatnonzero(depth != dist)
@@ -806,7 +796,6 @@ def validate_clustering_vectorized(graph: StaticGraph, clustering: Any) -> None:
     """
     from repro.core.clustering import ClusteringError
 
-    np = require_numpy()
     if set(clustering.color) != graph.node_set:
         raise ClusteringError("coloring does not cover exactly the node set")
     if set(clustering.dist) != set(clustering.color):

@@ -423,7 +423,12 @@ def lemma15_reference(graph: StaticGraph, b: int) -> Lemma15Reference:
                 )
             continue
         residual += 1
-        dist = _induced_bfs_distances(graph, member_set, root)
+        dist = graph.bfs_distances(root, within=member_set)
+        missing = member_set - dist.keys()
+        if missing:
+            raise ProtocolError(
+                f"cluster of root {root} is disconnected: {sorted(missing)[:5]}"
+            )
         for v in members:
             outputs[v] = Lemma15Output(
                 singleton=False, gamma=root + ab2, delta=dist[v], root=root,
@@ -497,22 +502,3 @@ def _reference_u_coloring(
             new[v] = _reduce_one(v, colors[v], conflicts, d, q)
         colors = new
         k = q * q
-
-
-def _induced_bfs_distances(
-    graph: StaticGraph, members: frozenset[NodeId], root: NodeId
-) -> dict[NodeId, int]:
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in graph.neighbors(v):
-            if u in members and u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    missing = members - set(dist)
-    if missing:
-        raise ProtocolError(
-            f"cluster of root {root} is disconnected: {sorted(missing)[:5]}"
-        )
-    return dist

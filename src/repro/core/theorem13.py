@@ -282,7 +282,12 @@ def theorem13_reference(
                 raise ProtocolError(
                     f"phase {i}: merged cluster {l2} has {len(roots)} roots"
                 )
-            new_dist.update(_induced_bfs(graph, members, roots[0]))
+            bfs = graph.bfs_distances(roots[0], within=members)
+            if len(bfs) != len(members):
+                raise ProtocolError(
+                    f"merged cluster of root {roots[0]} is disconnected in G"
+                )
+            new_dist.update(bfs)
 
         label, dist, active = new_label, new_dist, new_active
 
@@ -306,27 +311,6 @@ def _virtual_graph_of(
     return StaticGraph.from_edges(
         edges, nodes=set(label.values()), id_space=label_space
     )
-
-
-def _induced_bfs(
-    graph: StaticGraph, members: set[NodeId], root: NodeId
-) -> dict[NodeId, int]:
-    from collections import deque
-
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in graph.neighbors(v):
-            if u in members and u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    missing = members - set(dist)
-    if missing:
-        raise ProtocolError(
-            f"merged cluster of root {root} is disconnected in G"
-        )
-    return dist
 
 
 def _package(

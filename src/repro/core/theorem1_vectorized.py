@@ -6,7 +6,7 @@ round.  Both stages are lockstep/cast-shaped: every awake node runs the
 *same* small computation at rounds fixed in advance by the durations of
 :mod:`repro.core.cast` and :mod:`repro.core.virtual`.  This module
 replaces the dispatch with numpy kernels over the
-:class:`~repro.graphs.arrays.GraphArrays` CSR mirror:
+:class:`~repro.graphs.arrays.GraphArrays` CSR arrays:
 
 - **outputs** — the protocol's result equals the sequential greedy under
   the paper's orientation µ_G, priority ``(γ(cluster), -δ, -ID)``
@@ -33,12 +33,14 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.core.cast import bfs_cast_duration
 from repro.core.clustering import ColoredBFSClustering
 from repro.core.mapping import ColorScheduleMapping
 from repro.core.theorem9 import Theorem9Result, theorem9_duration
 from repro.errors import ProtocolError
-from repro.graphs.arrays import require_numpy, segment_sum, sorted_unique
+from repro.graphs.arrays import segment_sum, sorted_unique
 from repro.graphs.graph import StaticGraph
 from repro.model.metrics import SimulationMetrics
 from repro.model.simulator import SimulationResult
@@ -49,7 +51,7 @@ from repro.olocal.problem import OLocalProblem
 from repro.types import NodeId
 
 
-def _member_offsets(np: Any, n: int, d: int) -> Any:
+def _member_offsets(n: int, d: int) -> Any:
     """Awake offsets of a depth-``d`` member inside one virtual window.
 
     Offsets are relative to the window start (the exchange round): the
@@ -59,7 +61,6 @@ def _member_offsets(np: Any, n: int, d: int) -> Any:
     receives down, so it is awake 3 rounds; any other member 5.
 
     Args:
-        np: the numpy module.
         n: the graph size (= the cast depth bound).
         d: the member's BFS depth δ within its cluster.
 
@@ -91,7 +92,6 @@ def _theorem9_closed_form(
         counts, per-slot messages sent, per-slot termination rounds, and
         the sorted array of distinct rounds in which any node is awake.
     """
-    np = require_numpy()
     mapping = ColorScheduleMapping.for_palette(palette)
     window = 2 * n + 3  # one virtual round simulated (phase_duration)
     vt0 = t0 + 1 + bfs_cast_duration(n)  # first virtual-window round
@@ -160,7 +160,7 @@ def _theorem9_closed_form(
                 + [np.asarray(r_of[int(c)], dtype=np.int64) for c in cs]
             )
         )
-        offs = _member_offsets(np, n, int(d))
+        offs = _member_offsets(n, int(d))
         chunks.append((vt0 + vrs[:, None] * window + offs[None, :]).ravel())
     active = sorted_unique(np.concatenate(chunks))
     return awake, msgs, termination, active
@@ -194,7 +194,6 @@ def _run_theorem9_kernel(
         A :class:`SimulationResult` bit-identical to simulating
         :func:`repro.core.theorem9.theorem9_protocol` from round ``t0``.
     """
-    np = require_numpy()
     metrics = SimulationMetrics()
     if graph.n == 0:
         return SimulationResult(outputs={}, metrics=metrics, graph=graph)
@@ -328,7 +327,6 @@ def solve_vectorized(
     with span("theorem1.vectorized", n=graph.n, b=chosen_b):
         assignments, sim13, columns = _clustering_kernel(graph, chosen_b)
         out_phase, out_gamma, out_dist = columns
-        np = require_numpy()
         sp13 = singleton_palette(chosen_b)
         col = (out_phase - 1) * np.int64(sp13) + out_gamma
         ids = graph.arrays.ids.tolist()

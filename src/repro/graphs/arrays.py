@@ -1,19 +1,15 @@
-"""A numpy mirror of the CSR graph index, for the vectorized engine.
+"""int64 CSR arrays of a graph, for the vectorized engine.
 
-:class:`GraphArrays` re-exports the Python-list CSR layout of
-:class:`~repro.graphs.graph._GraphIndex` as int64 numpy arrays, plus the
-derived views the bulk-synchronous kernels need (per-edge source slots,
-the "up" CSR restricted to larger-ID neighbors). It is built lazily and
-cached on the owning :class:`~repro.graphs.graph.StaticGraph`, exactly
-like the index itself, so graphs that never meet the vectorized engine
-never pay for it — and :mod:`repro.graphs.graph` never imports numpy.
+:class:`GraphArrays` lays a :class:`~repro.graphs.graph.StaticGraph`'s
+``adjacency`` out as int64 numpy arrays, plus the derived views the
+bulk-synchronous kernels need (per-edge source slots, the "up" CSR
+restricted to larger-ID neighbors). It is built lazily and cached on the
+owning graph (:attr:`~repro.graphs.graph.StaticGraph.arrays`), so graphs
+that never meet the vectorized engine never pay for it. Only the
+vectorized modules import this one, which keeps numpy out of
+``import repro`` and out of every per-node run.
 
-The module degrades gracefully: importing it without numpy installed
-works; *using* it raises :class:`~repro.errors.SimulationError` with an
-actionable message (numpy is a core dependency of the vectorized engine
-only — every other engine remains pure Python).
-
-Slot order is ID order: ``_GraphIndex.nodes`` is sorted ascending, so
+Slot order is ID order: ``ids`` is sorted ascending, so
 ``slot_u < slot_v  ⇔  id_u < id_v`` and the kernels compare slots where
 the sequential code compares IDs.
 """
@@ -22,30 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import SimulationError
-
-try:  # gated: numpy is required by the vectorized engine only
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 if TYPE_CHECKING:
-    from repro.graphs.graph import _GraphIndex
-
-#: True when numpy is importable (the vectorized engine's availability).
-HAS_NUMPY = np is not None
-
-
-def require_numpy() -> Any:
-    """Return the numpy module or fail loudly with install guidance."""
-    if np is None:  # pragma: no cover - exercised only without numpy
-        raise SimulationError(
-            "the vectorized engine requires numpy; install it "
-            "(pip install numpy) or pick the 'simulator' engine"
-        )
-    return np
+    from repro.graphs.graph import StaticGraph
 
 
 @dataclass(frozen=True)
@@ -67,15 +46,21 @@ class GraphArrays:
     degrees: Any
 
     @classmethod
-    def from_index(cls, index: "_GraphIndex") -> "GraphArrays":
-        """Mirror a built :class:`_GraphIndex` into numpy arrays."""
-        require_numpy()
-        return cls(
-            ids=np.asarray(index.nodes, dtype=np.int64),
-            offsets=np.asarray(index.offsets, dtype=np.int64),
-            flat=np.asarray(index.flat_slots, dtype=np.int64),
-            degrees=np.asarray(index.degrees, dtype=np.int64),
+    def from_adjacency(cls, graph: "StaticGraph") -> "GraphArrays":
+        """Lay ``graph.adjacency`` out as CSR arrays, neighbors as slots."""
+        adjacency = graph.adjacency
+        nodes = graph.nodes
+        n = len(nodes)
+        ids = np.fromiter(nodes, dtype=np.int64, count=n)
+        rows = list(map(adjacency.__getitem__, nodes))
+        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        neighbor_ids = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=int(offsets[-1])
         )
+        flat = np.searchsorted(ids, neighbor_ids).astype(np.int64, copy=False)
+        return cls(ids=ids, offsets=offsets, flat=flat, degrees=degrees)
 
     @property
     def n(self) -> int:

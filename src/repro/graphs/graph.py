@@ -4,18 +4,20 @@ Nodes are addressed *by their LOCAL-model identifier*, not by position:
 every algorithm in the paper manipulates IDs, so making the ID the node
 key removes an entire class of off-by-one translation bugs.
 
-Hot-path queries (``nodes``, ``degree``, ``max_degree``, ``num_edges``,
-BFS, components, ``distance_2_neighbors``) are served by a CSR-style
-index — a contiguous neighbor-slot array plus per-node offsets and dense
-id↔slot maps — built lazily, exactly once, and cached on the frozen
-instance. The index layout is documented in PERFORMANCE.md.
+The ``adjacency`` mapping (ID → sorted neighbor tuple) is the one stored
+representation. Per-node code walks it directly by ID; the aggregates
+``nodes``, ``node_set``, ``max_degree`` and ``num_edges`` are computed
+from it once and cached on the frozen instance. The vectorized engine's
+int64 CSR arrays (:attr:`StaticGraph.arrays`) are built straight from
+``adjacency`` on first use; this module never imports numpy.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping
 
 import networkx as nx
 
@@ -23,56 +25,8 @@ from repro.errors import GraphError
 from repro.types import NodeId
 from repro.util.idspace import IdAssignment, identity_ids
 
-
-class _GraphIndex:
-    """The CSR-style fast-path index of a :class:`StaticGraph`.
-
-    Attributes:
-        nodes: all node IDs, ascending (slot ``i`` holds ``nodes[i]``).
-        node_set: the same IDs as a frozenset (O(1) membership).
-        slot_of: dense ID → slot map.
-        offsets: ``offsets[i]:offsets[i+1]`` delimits slot i's neighbors
-            inside ``flat_slots`` (CSR row pointers).
-        flat_slots: contiguous neighbor *slots*, in the adjacency's stored
-            neighbor order (preserves iteration order bit-for-bit).
-        degrees: per-slot degree.
-        max_degree / num_edges: aggregated once at build time.
-    """
-
-    __slots__ = (
-        "nodes",
-        "node_set",
-        "slot_of",
-        "offsets",
-        "flat_slots",
-        "degrees",
-        "max_degree",
-        "num_edges",
-    )
-
-    def __init__(self, adjacency: Mapping[NodeId, tuple[NodeId, ...]]) -> None:
-        nodes = tuple(sorted(adjacency))
-        slot_of = {v: i for i, v in enumerate(nodes)}
-        offsets = [0] * (len(nodes) + 1)
-        flat_slots: list[int] = []
-        degrees = [0] * len(nodes)
-        append = flat_slots.append
-        total = 0
-        for i, v in enumerate(nodes):
-            nbrs = adjacency[v]
-            degrees[i] = len(nbrs)
-            total += len(nbrs)
-            offsets[i + 1] = total
-            for u in nbrs:
-                append(slot_of[u])
-        self.nodes = nodes
-        self.node_set = frozenset(nodes)
-        self.slot_of = slot_of
-        self.offsets = offsets
-        self.flat_slots = flat_slots
-        self.degrees = degrees
-        self.max_degree = max(degrees, default=0)
-        self.num_edges = total // 2
+if TYPE_CHECKING:
+    from repro.graphs.arrays import GraphArrays
 
 
 def _validate_adjacency(
@@ -81,6 +35,13 @@ def _validate_adjacency(
     """One-shot O(V + E) validation of a hand-built adjacency."""
     directed: set[tuple[NodeId, NodeId]] = set()
     for v, nbrs in adjacency.items():
+        for a, b in zip(nbrs, nbrs[1:]):
+            if a == b:
+                raise GraphError(f"duplicate neighbor {a} at node {v}")
+            if a > b:
+                raise GraphError(
+                    f"neighbors of node {v} are not sorted ({a} before {b})"
+                )
         for u in nbrs:
             if u == v:
                 raise GraphError(f"self-loop at node {v}")
@@ -129,30 +90,18 @@ class StaticGraph:
         object.__setattr__(self, "id_space", id_space)
         return self
 
-    @property
-    def _index(self) -> _GraphIndex:
-        index = self.__dict__.get("_index_cache")
-        if index is None:
-            index = _GraphIndex(self.adjacency)
-            object.__setattr__(self, "_index_cache", index)
-        return index
+    @cached_property
+    def arrays(self) -> "GraphArrays":
+        """The int64 CSR arrays of this graph (vectorized-engine fast path).
 
-    @property
-    def arrays(self):
-        """The numpy CSR mirror of the index (vectorized-engine fast path).
-
-        Built lazily on first access and cached like the index itself;
-        see :class:`repro.graphs.arrays.GraphArrays`. Raises
-        :class:`~repro.errors.SimulationError` when numpy is missing —
-        every non-vectorized engine works without it.
+        Built from ``adjacency`` on first access and cached; see
+        :class:`repro.graphs.arrays.GraphArrays`. The import stays here so
+        that graphs which never meet the vectorized engine never load
+        numpy.
         """
-        arrays = self.__dict__.get("_arrays_cache")
-        if arrays is None:
-            from repro.graphs.arrays import GraphArrays
+        from repro.graphs.arrays import GraphArrays
 
-            arrays = GraphArrays.from_index(self._index)
-            object.__setattr__(self, "_arrays_cache", arrays)
-        return arrays
+        return GraphArrays.from_adjacency(self)
 
     @staticmethod
     def from_edges(
@@ -176,9 +125,7 @@ class StaticGraph:
                     f"node IDs must lie in [1, {space}], "
                     f"got range [{lo}, {hi}]"
                 )
-        graph = StaticGraph._trusted(frozen, space)
-        graph._index  # symmetric by construction; index built eagerly
-        return graph
+        return StaticGraph._trusted(frozen, space)  # symmetric by construction
 
     @staticmethod
     def from_networkx(
@@ -214,17 +161,18 @@ class StaticGraph:
     def n(self) -> int:
         return len(self.adjacency)
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[NodeId, ...]:
-        return self._index.nodes
+        """All node IDs, ascending (sorted once, then cached)."""
+        return tuple(sorted(self.adjacency))
 
-    @property
+    @cached_property
     def node_set(self) -> frozenset[NodeId]:
         """All node IDs as a frozenset (O(1) after the first access)."""
-        return self._index.node_set
+        return frozenset(self.adjacency)
 
     def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._index.nodes)
+        return iter(self.nodes)
 
     def __contains__(self, v: NodeId) -> bool:
         return v in self.adjacency
@@ -235,20 +183,18 @@ class StaticGraph:
     def degree(self, v: NodeId) -> int:
         return len(self.adjacency[v])
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
-        return self._index.max_degree
+        return max(map(len, self.adjacency.values()), default=0)
 
-    @property
+    @cached_property
     def num_edges(self) -> int:
-        return self._index.num_edges
+        return sum(map(len, self.adjacency.values())) // 2
 
     def edges(self) -> Iterator[tuple[NodeId, NodeId]]:
-        index = self._index
-        nodes, offsets, flat = index.nodes, index.offsets, index.flat_slots
-        for i, v in enumerate(nodes):
-            for j in range(offsets[i], offsets[i + 1]):
-                u = nodes[flat[j]]
+        adjacency = self.adjacency
+        for v in self.nodes:
+            for u in adjacency[v]:
                 if u > v:
                     yield (v, u)
 
@@ -256,85 +202,59 @@ class StaticGraph:
         return v in self.adjacency.get(u, ())
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        index = self._index
-        return len(self._component_slots(index, 0)) == self.n
+        return self.n == 0 or len(self.bfs_distances(self.nodes[0])) == self.n
 
-    def connected_components(self) -> list[frozenset[NodeId]]:
-        index = self._index
-        nodes = index.nodes
-        seen = bytearray(len(nodes))
+    def connected_components(
+        self, *, within: Collection[NodeId] | None = None
+    ) -> list[frozenset[NodeId]]:
+        """Connected components, ordered by their smallest node ID.
+
+        With ``within`` (a subset of the nodes), the components of the
+        subgraph induced by those nodes.
+        """
+        seen: set[NodeId] = set()
         components = []
-        for s in range(len(nodes)):
-            if not seen[s]:
-                comp = self._component_slots(index, s)
-                for t in comp:
-                    seen[t] = 1
-                components.append(frozenset(nodes[t] for t in comp))
+        for s in self.nodes if within is None else sorted(within):
+            if s not in seen:
+                comp = self.bfs_distances(s, within=within).keys()
+                seen.update(comp)
+                components.append(frozenset(comp))
         return components
 
-    def _component(self, start: NodeId) -> set[NodeId]:
-        index = self._index
-        comp = self._component_slots(index, index.slot_of[start])
-        return {index.nodes[t] for t in comp}
+    def bfs_distances(
+        self, source: NodeId, *, within: Collection[NodeId] | None = None
+    ) -> dict[NodeId, int]:
+        """Distances from ``source`` to every reachable node.
 
-    @staticmethod
-    def _component_slots(index: _GraphIndex, start: int) -> list[int]:
-        offsets, flat = index.offsets, index.flat_slots
-        seen = bytearray(len(index.nodes))
-        seen[start] = 1
-        comp = [start]
-        queue = deque(comp)
-        while queue:
-            s = queue.popleft()
-            for j in range(offsets[s], offsets[s + 1]):
-                t = flat[j]
-                if not seen[t]:
-                    seen[t] = 1
-                    comp.append(t)
-                    queue.append(t)
-        return comp
-
-    def bfs_distances(self, source: NodeId) -> dict[NodeId, int]:
-        """Distances from ``source`` to every reachable node."""
-        index = self._index
-        nodes, offsets, flat = index.nodes, index.offsets, index.flat_slots
-        start = index.slot_of[source]
-        dist_by_slot = [-1] * len(nodes)
-        dist_by_slot[start] = 0
+        With ``within`` (a member set containing ``source``), distances in
+        the subgraph induced by those nodes. Keys are in discovery order.
+        """
+        adjacency = self.adjacency
         dist = {source: 0}
-        queue = deque((start,))
+        queue = deque((source,))
         while queue:
-            s = queue.popleft()
-            d = dist_by_slot[s] + 1
-            for j in range(offsets[s], offsets[s + 1]):
-                t = flat[j]
-                if dist_by_slot[t] < 0:
-                    dist_by_slot[t] = d
-                    dist[nodes[t]] = d
-                    queue.append(t)
+            v = queue.popleft()
+            d = dist[v] + 1
+            for u in adjacency[v]:
+                if u not in dist and (within is None or u in within):
+                    dist[u] = d
+                    queue.append(u)
         return dist
 
     def distance_2_neighbors(self, v: NodeId) -> tuple[NodeId, ...]:
         """Nodes at distance exactly 2 from ``v`` (the paper's N²(v))."""
-        index = self._index
-        nodes, offsets, flat = index.nodes, index.offsets, index.flat_slots
-        s = index.slot_of[v]
-        mark = bytearray(len(nodes))
-        mark[s] = 1
-        direct = flat[offsets[s] : offsets[s + 1]]
+        adjacency = self.adjacency
+        direct = adjacency[v]
+        seen = set(direct)
+        seen.add(v)
+        two_hop: list[NodeId] = []
         for t in direct:
-            mark[t] = 1
-        two_hop: list[int] = []
-        for t in direct:
-            for j in range(offsets[t], offsets[t + 1]):
-                w = flat[j]
-                if not mark[w]:
-                    mark[w] = 1
+            for w in adjacency[t]:
+                if w not in seen:
+                    seen.add(w)
                     two_hop.append(w)
         two_hop.sort()
-        return tuple(nodes[t] for t in two_hop)
+        return tuple(two_hop)
 
 
 def _stable_sorted(nodes: Iterable) -> list:

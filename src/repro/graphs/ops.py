@@ -10,33 +10,18 @@ def graph_square(graph: StaticGraph) -> StaticGraph:
     """The square G²: same nodes, edges between nodes at distance <= 2.
 
     Lemma 15's first step computes a proper coloring of G², i.e. a
-    distance-2 coloring of G. Built from the CSR index in one pass per
+    distance-2 coloring of G. Built from the adjacency in one pass per
     node; the result is symmetric by construction, so it skips
     re-validation.
     """
-    index = graph._index
-    nodes, offsets, flat = index.nodes, index.offsets, index.flat_slots
-    mark = bytearray(len(nodes))
+    adjacency = graph.adjacency
     adj: dict[NodeId, tuple[NodeId, ...]] = {}
-    for s, v in enumerate(nodes):
-        mark[s] = 1
-        ball: list[int] = []
-        for j in range(offsets[s], offsets[s + 1]):
-            t = flat[j]
-            if not mark[t]:
-                mark[t] = 1
-                ball.append(t)
-        for t in tuple(ball):
-            for j in range(offsets[t], offsets[t + 1]):
-                w = flat[j]
-                if not mark[w]:
-                    mark[w] = 1
-                    ball.append(w)
-        ball.sort()
-        adj[v] = tuple(nodes[t] for t in ball)
-        mark[s] = 0
-        for t in ball:
-            mark[t] = 0
+    for v in graph.nodes:
+        ball = set(adjacency[v])
+        for t in adjacency[v]:
+            ball.update(adjacency[t])
+        ball.discard(v)
+        adj[v] = tuple(sorted(ball))
     return StaticGraph._trusted(adj, graph.id_space)
 
 

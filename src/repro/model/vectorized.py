@@ -50,10 +50,12 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.graphs.arrays import (
     ragged_gather,
-    require_numpy,
     segment_any,
+    segment_sum,
     sorted_unique,
 )
 from repro.graphs.graph import StaticGraph
@@ -93,8 +95,6 @@ class _WaveDecider:
         node_inputs: Mapping[NodeId, Any],
     ) -> None:
         """Bind the graph's CSR arrays and an all-undecided state."""
-        np = require_numpy()
-        self.graph = graph
         self.arrays = graph.arrays
         self.problem = problem
         self.node_inputs = node_inputs
@@ -114,7 +114,6 @@ class _MISDecider(_WaveDecider):
 
     def __init__(self, graph, problem, node_inputs) -> None:
         """Add the per-slot joined flags to the base state."""
-        np = require_numpy()
         super().__init__(graph, problem, node_inputs)
         self.joined = np.zeros(self.arrays.n, dtype=bool)
 
@@ -139,7 +138,6 @@ class _VertexCoverDecider(_WaveDecider):
 
     def __init__(self, graph, problem, node_inputs) -> None:
         """Add the per-slot cover flags to the base state."""
-        np = require_numpy()
         super().__init__(graph, problem, node_inputs)
         self.cover = np.zeros(self.arrays.n, dtype=bool)
 
@@ -167,13 +165,11 @@ class _ColoringDecider(_WaveDecider):
 
     def __init__(self, graph, problem, node_inputs) -> None:
         """Add the per-slot color array (0 = undecided) to the state."""
-        np = require_numpy()
         super().__init__(graph, problem, node_inputs)
         self.color = np.zeros(self.arrays.n, dtype=np.int64)  # 0 = undecided
 
     def decide_wave(self, ready: Any) -> None:
         """Color each ready slot with the mex of its decided neighbors."""
-        np = require_numpy()
         nbrs, counts = ragged_gather(
             self.arrays.offsets, self.arrays.flat, ready
         )
@@ -209,17 +205,19 @@ class _GenericDecider(_WaveDecider):
     """
 
     def __init__(self, graph, problem, node_inputs) -> None:
-        """Add the per-slot output list to the base state."""
+        """Add the per-slot output list and list views of the CSR."""
         super().__init__(graph, problem, node_inputs)
         self._out: list[Any] = [None] * self.arrays.n
+        self._ids = self.arrays.ids.tolist()
+        self._offsets = self.arrays.offsets.tolist()
+        self._flat = self.arrays.flat.tolist()
         from repro.olocal.problem import NodeView
 
         self._view = NodeView
 
     def decide_wave(self, ready: Any) -> None:
         """Call ``problem.decide`` once per ready slot, in slot order."""
-        index = self.graph._index
-        nodes, offsets, flat = index.nodes, index.offsets, index.flat_slots
+        nodes, offsets, flat = self._ids, self._offsets, self._flat
         decided, out, inputs = self.decided, self._out, self.node_inputs
         decide, NodeView = self.problem.decide, self._view
         for s in ready.tolist():
@@ -279,7 +277,7 @@ def decide_by_priority(
     kernel regardless of within-wave order.
 
     Args:
-        graph: the substrate graph (its CSR mirror is used).
+        graph: the substrate graph (its CSR arrays are used).
         problem: the O-LOCAL problem whose greedy rule decides nodes.
         node_inputs: per-node problem inputs, keyed by node ID.
         rank: int64 array of shape ``(n,)``; ``rank[s]`` is slot s's
@@ -289,9 +287,6 @@ def decide_by_priority(
         The finished :class:`_WaveDecider`; call ``outputs()`` for the
         per-node results.
     """
-    np = require_numpy()
-    from repro.graphs.arrays import segment_sum
-
     ga = graph.arrays
     decider = make_wave_decider(graph, problem, node_inputs)
     if ga.n == 0:
@@ -332,7 +327,6 @@ def greedy_by_id_vectorized(
     closed-form round accounting — but with O(V + E) total array work
     instead of O(V · rounds) Python dispatch.
     """
-    np = require_numpy()
     node_inputs = inputs if inputs is not None else problem.make_inputs(graph)
     metrics = SimulationMetrics()
     if graph.n == 0:

@@ -84,3 +84,29 @@ def test_registries_are_the_single_source_of_names():
 
     for name in ("GRAPH_FAMILIES", "PROBLEMS", "ALGORITHMS"):
         assert isinstance(getattr(repro, name), Registry), name
+
+
+def test_numpy_stays_out_of_per_node_runs():
+    """numpy loads only with the vectorized engine: importing the entry
+    points and running a per-node solve must not pay its import time or
+    memory."""
+    import subprocess
+    import sys
+
+    probe = "\n".join([
+        "import sys",
+        "import repro, repro.api, repro.cli, repro.serve.service",
+        "from repro.api import Scenario, run_scenario",
+        "def solve(engine):",
+        "    result = run_scenario(Scenario(family='gnp', n=64,",
+        "        problem='mis', algorithm='theorem1', engine=engine))",
+        "    assert result.ok, result.errors",
+        "solve('simulator')",
+        "assert 'numpy' not in sys.modules, 'per-node run imported numpy'",
+        "solve('vectorized')",
+        "assert 'numpy' in sys.modules, 'vectorized run did not load numpy'",
+    ])
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -65,6 +65,40 @@ def naive_components(g):
     return components
 
 
+def naive_csr(g):
+    ids = sorted(g.adjacency)
+    slot = {v: i for i, v in enumerate(ids)}
+    offsets, flat, degrees = [0], [], []
+    for v in ids:
+        flat.extend(slot[u] for u in g.adjacency[v])
+        degrees.append(len(g.adjacency[v]))
+        offsets.append(len(flat))
+    return ids, offsets, flat, degrees
+
+
+def naive_induced_bfs(g, members, source):
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for u in g.adjacency[v]:
+            if u in members and u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def naive_induced_components(g, members):
+    seen = set()
+    components = []
+    for v in sorted(members):
+        if v not in seen:
+            comp = set(naive_induced_bfs(g, members, v))
+            seen |= comp
+            components.append(frozenset(comp))
+    return components
+
+
 def naive_distance_2(g, v):
     direct = set(g.adjacency[v])
     two_hop = set()
@@ -85,6 +119,13 @@ def graphs(draw):
     edges = draw(st.lists(st.sampled_from(possible), max_size=60) if possible
                  else st.just([]))
     return StaticGraph.from_edges(edges, nodes=range(1, n + 1), id_space=n)
+
+
+@st.composite
+def graphs_with_members(draw):
+    g = draw(graphs())
+    members = draw(st.sets(st.sampled_from(g.nodes)))
+    return g, members
 
 
 # -- the agreement properties ------------------------------------------------
@@ -145,6 +186,44 @@ def test_trusted_ops_match_validated_construction(g):
 
 def test_index_is_cached_and_lazy():
     g = gnp(64, 0.1, seed=3)
-    assert g._index is g._index  # one build, cached on the frozen instance
+    assert g.arrays is g.arrays  # one build, cached on the frozen instance
     n1 = g.nodes
     assert g.nodes is n1  # no re-sort per access
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_arrays_match_naive_csr(g):
+    """The numpy CSR equals a naive CSR of the adjacency, also on the
+    trusted-path results of graph_square and induced_subgraph."""
+    half = set(list(g.nodes)[: g.n // 2])
+    for h in (g, graph_square(g), induced_subgraph(g, half)):
+        ids, offsets, flat, degrees = naive_csr(h)
+        ga = h.arrays
+        assert ga.ids.tolist() == ids
+        assert ga.offsets.tolist() == offsets
+        assert ga.flat.tolist() == flat
+        assert ga.degrees.tolist() == degrees
+        for array in (ga.ids, ga.offsets, ga.flat, ga.degrees):
+            assert array.dtype == "int64"
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs_with_members())
+def test_bfs_distances_within_agree(case):
+    g, members = case
+    for source in sorted(members):
+        got = g.bfs_distances(source, within=members)
+        # Same distances in the same discovery order.
+        assert list(got.items()) == list(
+            naive_induced_bfs(g, members, source).items()
+        )
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs_with_members())
+def test_connected_components_within_agree(case):
+    g, members = case
+    assert g.connected_components(within=members) == naive_induced_components(
+        g, members
+    )

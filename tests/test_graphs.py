@@ -51,6 +51,16 @@ class TestStaticGraph:
         with pytest.raises(GraphError):
             StaticGraph({1: (5,)}, id_space=5)
 
+    def test_rejects_duplicate_neighbor(self):
+        with pytest.raises(GraphError, match="duplicate neighbor 2 at node 1"):
+            StaticGraph({1: (2, 2), 2: (1,)}, id_space=2)
+
+    def test_rejects_unsorted_neighbors(self):
+        # Unsorted rows would break the per-node sorted order of
+        # arrays.flat that the vectorized kernels rely on.
+        with pytest.raises(GraphError, match="not sorted"):
+            StaticGraph({1: (3, 2), 2: (1,), 3: (1,)}, id_space=3)
+
     def test_rejects_out_of_range_ids(self):
         with pytest.raises(GraphError):
             StaticGraph.from_edges([(1, 2)], id_space=1)
