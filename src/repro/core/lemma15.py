@@ -458,31 +458,25 @@ def _reference_distance2_coloring(
 ) -> dict[NodeId, int]:
     """Replays the distributed Linial distance-2 reduction centrally
     (identical (d, q) schedule and evaluation-point choices)."""
-    from repro.core.linial import _reduce_one, step_parameters
+    from repro.core.linial import _reduce_one, reduction_schedule
 
     if two_hop is None:
         two_hop = {v: graph.distance_2_neighbors(v) for v in graph.nodes}
     ball = {v: graph.neighbors(v) + two_hop[v] for v in graph.nodes}
     colors = {v: v - 1 for v in graph.nodes}
-    k = graph.id_space
-    while True:
-        params = step_parameters(k, conflict_degree)
-        if params is None:
-            return colors
-        d, q = params
-        new = {}
-        for v in graph.nodes:
-            conflicts = {colors[u] for u in ball[v]}
-            new[v] = _reduce_one(v, colors[v], conflicts, d, q)
-        colors = new
-        k = q * q
+    for d, q in reduction_schedule(graph.id_space, conflict_degree):
+        colors = {
+            v: _reduce_one(v, colors[v], {colors[u] for u in ball[v]}, d, q)
+            for v in graph.nodes
+        }
+    return colors
 
 
 def _reference_u_coloring(
     graph: StaticGraph, u_nodes: set[NodeId], b: int
 ) -> dict[NodeId, int]:
     """Replays Linial's distance-1 reduction on G[U] centrally."""
-    from repro.core.linial import _reduce_one, step_parameters
+    from repro.core.linial import _reduce_one, reduction_schedule
 
     members = sorted(u_nodes)
     u_nbrs = {
@@ -490,15 +484,9 @@ def _reference_u_coloring(
         for v in members
     }
     colors = {v: v - 1 for v in u_nodes}
-    k = graph.id_space
-    while True:
-        params = step_parameters(k, b)
-        if params is None:
-            return colors
-        d, q = params
-        new = {}
-        for v in members:
-            conflicts = {colors[u] for u in u_nbrs[v]}
-            new[v] = _reduce_one(v, colors[v], conflicts, d, q)
-        colors = new
-        k = q * q
+    for d, q in reduction_schedule(graph.id_space, b):
+        colors = {
+            v: _reduce_one(v, colors[v], {colors[u] for u in u_nbrs[v]}, d, q)
+            for v in members
+        }
+    return colors

@@ -11,11 +11,14 @@ adopts the pair (x, p(x)) as its new color.
 Iterating reaches the fixed-point palette ``q*² = next_prime(D+1)²`` in
 O(log* k) steps; the step parameters depend only on (k, D), so all nodes
 compute identical schedules — crucial in the Sleeping model where the wake
-calendar must be agreed upon without communication.
+calendar must be agreed upon without communication. The schedule is still a
+function of (k, D) only, so :func:`reduction_schedule` computes it once per
+process and every node (and every central replay) walks that shared tuple.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Generator, Iterable
 
 from repro.errors import ProtocolError
@@ -24,6 +27,10 @@ from repro.types import NodeId, Payload
 from repro.util.mathx import base_q_digits, eval_poly_mod, next_prime
 
 Proto = Generator[AwakeAt, dict[NodeId, Payload], Any]
+
+# Distinct (palette, D) schedules kept per process. A grid sweep uses a few
+# dozen; the cap bounds a long-lived server.
+SCHEDULE_CACHE_SIZE = 1024
 
 
 def fixed_point_palette(conflict_degree: int) -> int:
@@ -73,16 +80,20 @@ def step_parameters(palette: int, conflict_degree: int) -> tuple[int, int] | Non
     return d, q
 
 
-def reduction_schedule(palette: int, conflict_degree: int) -> list[tuple[int, int]]:
-    """The full deterministic sequence of (d, q) steps until fixed point."""
+@functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
+def reduction_schedule(
+    palette: int, conflict_degree: int
+) -> tuple[tuple[int, int], ...]:
+    """The full deterministic sequence of (d, q) steps until fixed point.
+
+    Memoized per process; the tuple is shared, so it is immutable.
+    """
     schedule = []
     k = palette
-    while True:
-        params = step_parameters(k, conflict_degree)
-        if params is None:
-            return schedule
+    while (params := step_parameters(k, conflict_degree)) is not None:
         schedule.append(params)
         k = params[1] ** 2
+    return tuple(schedule)
 
 
 def num_steps(palette: int, conflict_degree: int) -> int:
@@ -140,13 +151,7 @@ def linial_coloring(
         raise ProtocolError(f"color {color} outside palette [0, {palette})")
 
     round_now = t0
-    k = palette
-    while True:
-        params = step_parameters(k, conflict_degree)
-        if params is None:
-            return color
-        d, q = params
-
+    for d, q in reduction_schedule(palette, conflict_degree):
         inbox = yield AwakeAt(round_now, {u: ("linial1", color) for u in peers})
         neighbor_colors = {
             u: msg[1]
@@ -173,7 +178,7 @@ def linial_coloring(
         round_now += distance
 
         color = _reduce_one(me, color, conflict_colors, d, q)
-        k = q * q
+    return color
 
 
 def _reduce_one(

@@ -293,9 +293,10 @@ def solve_vectorized(
     """Solve an O-LOCAL problem on the vectorized engine (Theorem 1).
 
     The drop-in array twin of :func:`repro.core.theorem1.solve`: the
-    Theorem 13 clustering runs through
-    :func:`repro.core.clustering_vectorized.compute_clustering_vectorized`,
-    the Theorem 9 stage through the closed-form kernel, and the two
+    Theorem 13 clustering runs the kernel behind
+    :func:`repro.core.clustering_vectorized.compute_clustering_vectorized`
+    (same ``theorem13.vectorized`` span, without its packaging), the
+    Theorem 9 stage through the closed-form kernel, and the two
     stages compose by Lemma 8 — per-node awake/message counts add, the
     termination rounds are the solver stage's, and the active-round sets
     of the two reserved windows are disjoint.
@@ -325,7 +326,8 @@ def solve_vectorized(
         dict(inputs) if inputs is not None else problem.make_inputs(graph)
     )
     with span("theorem1.vectorized", n=graph.n, b=chosen_b):
-        assignments, sim13, columns = _clustering_kernel(graph, chosen_b)
+        with span("theorem13.vectorized", n=graph.n, b=chosen_b):
+            assignments, sim13, columns = _clustering_kernel(graph, chosen_b)
         out_phase, out_gamma, out_dist = columns
         sp13 = singleton_palette(chosen_b)
         col = (out_phase - 1) * np.int64(sp13) + out_gamma

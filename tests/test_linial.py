@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Scenario, run_scenario
+from repro.core import linial
 from repro.core.linial import (
     final_palette,
     fixed_point_palette,
@@ -53,6 +55,59 @@ class TestScheduleMath:
             assert q > degree * d
             assert q ** (d + 1) >= palette
             assert q * q < palette
+
+
+def _walk(palette, degree):
+    """The schedule by walking the uncached step function from ``palette``."""
+    steps, k = [], palette
+    while (params := step_parameters(k, degree)) is not None:
+        steps.append(params)
+        k = params[1] ** 2
+    return tuple(steps)
+
+
+class TestScheduleCache:
+    @given(st.integers(1, 2**40), st.integers(1, 2**20))
+    @settings(max_examples=60, deadline=None)
+    def test_cached_schedule_is_the_shared_uncached_walk(self, palette, degree):
+        schedule = reduction_schedule(palette, degree)
+        assert isinstance(schedule, tuple)
+        assert schedule == _walk(palette, degree)
+        assert reduction_schedule(palette, degree) is schedule
+
+    def test_per_node_solve_computes_each_schedule_once(self, monkeypatch):
+        """A deterministic work gate: the simulator's nodes share schedules.
+
+        Every step_parameters call must belong to a cache miss's walk
+        (len(schedule) + 1 calls each), and a repeated solve makes none.
+        """
+        calls = []
+        keys = set()
+        uncached = linial.step_parameters
+        cached = linial.reduction_schedule
+
+        def counting_step(palette, degree):
+            calls.append((palette, degree))
+            return uncached(palette, degree)
+
+        def recording_schedule(palette, degree):
+            keys.add((palette, degree))
+            return cached(palette, degree)
+
+        monkeypatch.setattr(linial, "step_parameters", counting_step)
+        monkeypatch.setattr(linial, "reduction_schedule", recording_schedule)
+        scenario = Scenario(
+            family="gnp", n=64, seed=3, problem="mis",
+            algorithm="theorem1", engine="simulator",
+        )
+        cached.cache_clear()
+        assert run_scenario(scenario).ok
+        assert keys and cached.cache_info().misses == len(keys)
+        assert len(calls) <= sum(len(cached(*key)) + 1 for key in keys)
+
+        calls.clear()
+        assert run_scenario(scenario).ok
+        assert calls == []
 
 
 def run_linial(graph, distance=1, conflict_degree=None):

@@ -109,6 +109,22 @@ class TestSpans:
         assert spans.TRACE_ENV not in os.environ
         assert trace.read_text() == ""  # stale content gone
 
+    def test_vectorized_theorem1_clustering_has_its_own_span(self, tmp_path):
+        from repro.api import Scenario, run_scenario
+
+        spans.configure(tmp_path / "t.jsonl")
+        result = run_scenario(
+            Scenario(family="gnp", n=64, algorithm="theorem1",
+                     engine="vectorized")
+        )
+        spans.disable()
+        assert result.ok
+        records, bad = load_trace(tmp_path / "t.jsonl")
+        assert check_trace(records, bad) == []
+        (outer,) = [r for r in records if r["name"] == "theorem1.vectorized"]
+        (inner,) = [r for r in records if r["name"] == "theorem13.vectorized"]
+        assert inner["parent"] == outer["id"]
+
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
     def test_fork_worker_spans_parent_to_the_sweep_span(self, tmp_path):
         spans.configure(tmp_path / "t.jsonl")
