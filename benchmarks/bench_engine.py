@@ -57,7 +57,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.errors import GraphError  # noqa: E402
-from repro.graphs import gnp, path, preferential_attachment  # noqa: E402
+from repro.graphs import (  # noqa: E402
+    build_family_graph,
+    gnp,
+    path,
+    preferential_attachment,
+)
 from repro.graphs.graph import StaticGraph  # noqa: E402
 from repro.model import AwakeAt, Broadcast, SleepingSimulator  # noqa: E402
 from repro.model.lockstep import LocalNodeState, run_local  # noqa: E402
@@ -327,16 +332,6 @@ def bench_delivery(n, reps, results):
     }
 
 
-def fast_gnp(n, avg_degree, seed):
-    """Sparse G(n, d/n) via networkx's O(n + m) sampler; the shipped
-    ``gnp`` family walks all n² pairs, infeasible past ~10^4 nodes."""
-    import networkx as nx
-
-    return StaticGraph.from_networkx(
-        nx.fast_gnp_random_graph(n, avg_degree / n, seed=seed)
-    )
-
-
 def bench_vectorized(n, reps, results):
     """The vectorized engine vs the per-node engines, bit-identical
     first, timed second. n = 2^17 runs a single rep: the *per-node*
@@ -347,7 +342,10 @@ def bench_vectorized(n, reps, results):
     from repro.model.vectorized import greedy_by_id_vectorized
     from repro.olocal import DeltaPlusOneColoring, MaximalIndependentSet
 
-    g = gnp(n, 8.0 / n, seed=1) if n <= 10_000 else fast_gnp(n, 8, seed=1)
+    if n <= 10_000:
+        g = gnp(n, 8.0 / n, seed=1)
+    else:  # the O(n + m) sampler; the default walks all n² pairs
+        g = build_family_graph("gnp", n, seed=1, p=8 / n, method="fast")
     # Small n: min-of-3 even in --quick, or the one-time numpy/first-call
     # cost dominates the tiny kernels and quick-mode speedups collapse
     # far below the committed full-run baseline the CI check compares to.
@@ -398,7 +396,7 @@ def bench_vectorized_mega(results, n=1_000_000):
     from repro.model.vectorized import greedy_by_id_vectorized
     from repro.olocal import DeltaPlusOneColoring, MaximalIndependentSet
 
-    g = fast_gnp(n, 8, seed=1)
+    g = build_family_graph("gnp", n, seed=1, p=8 / n, method="fast")
 
     problem = MaximalIndependentSet()
     inputs = problem.make_inputs(g)
@@ -489,7 +487,7 @@ def bench_vectorized_clustered_mega(results):
 
     problem = MaximalIndependentSet()
     for n, avg_degree in ((1 << 17, 8), (1_000_000, 4)):
-        g = fast_gnp(n, avg_degree, seed=1)
+        g = build_family_graph("gnp", n, seed=1, p=avg_degree / n, method="fast")
         res, t = timed(lambda: solve_vectorized(g, problem, validate=False), 2)
         node_rounds = res.simulation.metrics.total_awake
         results[f"vectorized_theorem1_mega/gnp/n={n}"] = {

@@ -173,9 +173,12 @@ def _build_tree(n: int, seed: int, ids: IdAssignment | None) -> StaticGraph:
     params={
         "p": "edge probability (default 0.15)",
         "method": (
-            "sampler: 'binomial' (default, walks all n² pairs) or 'fast' "
-            "(O(n + m) geometric skipping for mega-scale n; draws a "
-            "different graph for the same seed than 'binomial')"
+            "sampler, replayed in-repo from random.Random(seed): "
+            "'binomial' (default, one draw per pair, all n² of them; "
+            "the graph nx.gnp_random_graph draws) or 'fast' (O(n + m) "
+            "geometric skipping for mega-scale n; the graph "
+            "nx.fast_gnp_random_graph draws, different from 'binomial' "
+            "for the same seed)"
         ),
     },
 )
@@ -186,7 +189,12 @@ def _build_gnp(
     p: float = 0.15,
     method: str = "binomial",
 ) -> StaticGraph:
-    """Seeded G(n, p) random graph."""
+    """Seeded G(n, p) random graph, connectivity-patched.
+
+    Built by :func:`repro.graphs.generators.gnp`, which replays the
+    ``method``'s networkx draw sequence without networkx: the same seed
+    gives the same graph as the networkx sampler would.
+    """
     return gnp(n, p, seed=seed, ids=ids, method=method)
 
 

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping
 
-import networkx as nx
-
 from repro.errors import GraphError
 from repro.types import NodeId
 from repro.util.idspace import IdAssignment, identity_ids
 
 if TYPE_CHECKING:
+    import networkx as nx
+
     from repro.graphs.arrays import GraphArrays
 
 
@@ -135,6 +135,9 @@ class StaticGraph:
 
         The networkx nodes are sorted (by ``repr`` when not comparable) and
         mapped positionally to ``ids``; defaults to identity IDs ``1..n``.
+        The seeded families build their adjacency directly (see
+        :mod:`repro.graphs.generators`); this is the way in for graphs
+        made elsewhere.
         """
         nodes = _stable_sorted(graph.nodes())
         assignment = ids if ids is not None else identity_ids(len(nodes))
@@ -149,6 +152,8 @@ class StaticGraph:
         )
 
     def to_networkx(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(self.adjacency)
         for v, nbrs in self.adjacency.items():

@@ -110,3 +110,33 @@ def test_numpy_stays_out_of_per_node_runs():
         [sys.executable, "-c", probe], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_networkx_stays_out_of_direct_families():
+    """The seeded families build adjacency directly: importing repro (with
+    its plugins) and solving on gnp, tree or powerlaw never loads
+    networkx; ``regular``, which still samples through networkx, loads
+    it on first use."""
+    import subprocess
+    import sys
+
+    probe = "\n".join([
+        "import sys",
+        "import repro",
+        "from repro.registry import load_plugins",
+        "load_plugins()",
+        "assert 'networkx' not in sys.modules, 'import repro loaded networkx'",
+        "from repro.api import Scenario, run_scenario",
+        "for family in ('gnp', 'tree', 'powerlaw'):",
+        "    result = run_scenario(Scenario(family=family, n=64,",
+        "        problem='mis', algorithm='theorem1'))",
+        "    assert result.ok, result.errors",
+        "assert 'networkx' not in sys.modules, 'direct family loaded networkx'",
+        "from repro.graphs import build_family_graph",
+        "build_family_graph('regular', 64)",
+        "assert 'networkx' in sys.modules, 'regular did not load networkx'",
+    ])
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
