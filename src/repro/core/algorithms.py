@@ -502,14 +502,18 @@ def _run_greedy(
     inputs = problem.make_inputs(graph)
     if engine != ENGINE_REFERENCE:
         if engine == ENGINE_VECTORIZED:
-            from repro.model.vectorized import greedy_by_id_vectorized
+            from repro.model.vectorized import (
+                check_outputs,
+                greedy_by_id_vectorized,
+            )
 
             result = greedy_by_id_vectorized(graph, problem, inputs=inputs)
+            check_outputs(graph, problem, result.outputs, inputs)
         else:
             from repro.model.lockstep import greedy_by_id_local
 
             result = greedy_by_id_local(graph, problem, inputs=inputs)
-        problem.check(graph, result.outputs, inputs)
+            problem.check(graph, result.outputs, inputs)
         return _simulation_outcome(
             "greedy",
             result.outputs,

@@ -51,7 +51,7 @@ from repro.graphs.arrays import (
 from repro.graphs.graph import StaticGraph
 from repro.model.metrics import SimulationMetrics
 from repro.model.simulator import SimulationResult
-from repro.model.vectorized import make_wave_decider
+from repro.model.vectorized import check_outputs, make_wave_decider
 from repro.obs import counters
 from repro.obs.spans import span
 from repro.olocal.problem import OLocalProblem
@@ -112,15 +112,14 @@ def solve_with_baseline_vectorized(
     graph: StaticGraph,
     problem: OLocalProblem,
     inputs: Mapping[NodeId, Any] | None = None,
-    check: bool = True,
 ) -> BaselineResult:
     """Run the BM21 baseline end to end on the vectorized engine.
 
     Drop-in for :func:`repro.core.bm21.solve_with_baseline` (same result
     type, same validation) minus the ``simulator`` hook — fault
-    injection stays a per-node-engine feature. ``check=False`` skips the
-    O(V + E) Python output validation, for throughput measurements at
-    n ≥ 10⁶ where validation would dominate the vectorized runtime.
+    injection stays a per-node-engine feature. The outputs are checked
+    by :func:`~repro.model.vectorized.check_outputs`, as array kernels
+    for the built-in problems.
     """
     delta = max(graph.max_degree, 1)
     node_inputs = (
@@ -154,8 +153,7 @@ def solve_with_baseline_vectorized(
         for lo, hi in zip(starts.tolist(), ends.tolist()):
             decider.decide_wave(order[lo:hi])
         outputs = decider.outputs()
-        if check:
-            problem.check(graph, outputs, node_inputs)
+        check_outputs(graph, problem, outputs, node_inputs)
 
     # Closed-form accounting, one mapping evaluation per distinct color.
     with span("bm21.accounting", n=ga.n):

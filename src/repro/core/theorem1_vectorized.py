@@ -44,7 +44,7 @@ from repro.graphs.arrays import segment_sum, sorted_unique
 from repro.graphs.graph import StaticGraph
 from repro.model.metrics import SimulationMetrics
 from repro.model.simulator import SimulationResult
-from repro.model.vectorized import decide_by_priority
+from repro.model.vectorized import check_outputs, decide_by_priority
 from repro.obs import counters
 from repro.obs.spans import span
 from repro.olocal.problem import OLocalProblem
@@ -277,7 +277,7 @@ def solve_with_clustering_vectorized(
         counters.add("sim.rounds", result.metrics.active_rounds)
     with span("theorem9.validate", n=graph.n):
         if validate:
-            problem.check(graph, result.outputs, node_inputs)
+            check_outputs(graph, problem, result.outputs, node_inputs)
     return Theorem9Result(
         outputs=result.outputs, simulation=result, palette=c
     )
@@ -379,7 +379,7 @@ def solve_vectorized(
         )
 
         validate_clustering_arrays(graph, col, out_dist)
-        problem.check(graph, outputs, node_inputs)
+        check_outputs(graph, problem, outputs, node_inputs)
     return Theorem1Result(
         outputs=outputs,
         clustering=clustering,

@@ -59,7 +59,13 @@ class GraphArrays:
         neighbor_ids = np.fromiter(
             chain.from_iterable(rows), dtype=np.int64, count=int(offsets[-1])
         )
-        flat = np.searchsorted(ids, neighbor_ids).astype(np.int64, copy=False)
+        if n and int(ids[-1]) - int(ids[0]) == n - 1:
+            # Contiguous IDs (identity IDs, say): a slot is an offset.
+            flat = neighbor_ids - ids[0]
+        else:
+            flat = np.searchsorted(ids, neighbor_ids).astype(
+                np.int64, copy=False
+            )
         return cls(ids=ids, offsets=offsets, flat=flat, degrees=degrees)
 
     @property

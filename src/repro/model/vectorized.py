@@ -43,7 +43,9 @@ everything else — still exactly one call per node total, with exactly
 the decided-neighbor mapping the sequential engines would pass, so
 plugin problems are automatically supported (their ``decide`` must be a
 pure, order-insensitive function of that mapping, which the O-LOCAL
-definition already requires).
+definition already requires). Results are validated the same way:
+:func:`check_outputs` checks the built-in problems' outputs over the
+CSR arrays and hands everything else to ``problem.check``.
 """
 
 from __future__ import annotations
@@ -257,6 +259,81 @@ def make_wave_decider(
         MinimalVertexCover: _VertexCoverDecider,
     }.get(type(problem), _GenericDecider)
     return kernel(graph, problem, node_inputs)
+
+
+# ---------------------------------------------------------------------------
+# Array validators: problem.check for the built-in problems, over the CSR.
+# ---------------------------------------------------------------------------
+
+
+def _mis_accepts(ga: Any, joined: Any) -> bool:
+    """Independent (no edge inside) and maximal (every node outside has
+    a neighbor inside) — :meth:`MaximalIndependentSet.validate`."""
+    if (joined[ga.edge_sources] & joined[ga.flat]).any():
+        return False
+    return bool((joined | segment_any(joined[ga.flat], ga.degrees)).all())
+
+
+def _coloring_accepts(ga: Any, color: Any) -> bool:
+    """Colors in ``1..deg + 1`` and no monochromatic edge —
+    :meth:`DeltaPlusOneColoring.validate`."""
+    if ((color < 1) | (color > ga.degrees + 1)).any():
+        return False
+    return not (color[ga.edge_sources] == color[ga.flat]).any()
+
+
+def _vertex_cover_accepts(ga: Any, cover: Any) -> bool:
+    """A cover whose complement is a maximal independent set — exactly
+    :meth:`MinimalVertexCover.validate` (an uncovered edge is an edge
+    inside the complement)."""
+    return _mis_accepts(ga, ~cover)
+
+
+def _column(ga: Any, outputs: Mapping[NodeId, Any], kind: type) -> Any:
+    """``outputs`` in slot order as a numpy column, or None when a node
+    has no output or a value is not exactly of type ``kind``."""
+    values = list(map(outputs.get, ga.ids.tolist()))
+    if not set(map(type, values)) <= {kind}:
+        return None
+    try:
+        return np.array(values, dtype=bool if kind is bool else np.int64)
+    except OverflowError:  # an int beyond int64: let check() judge it
+        return None
+
+
+def check_outputs(
+    graph: StaticGraph,
+    problem: OLocalProblem,
+    outputs: Mapping[NodeId, Any],
+    inputs: Mapping[NodeId, Any] | None = None,
+) -> None:
+    """``problem.check(graph, outputs, inputs)``, as array kernels when
+    the problem is built in.
+
+    Like :func:`make_wave_decider`, the array validators are keyed on
+    the *exact* problem class — a subclass may override ``validate``,
+    so it (and every plugin) goes through its own ``check``. The array
+    path can only accept: a violation, a missing output or a value of
+    an unexpected type falls back to ``problem.check``, so a failure
+    raises the same :class:`~repro.errors.ValidationError` text.
+    """
+    from repro.olocal.coloring import DeltaPlusOneColoring
+    from repro.olocal.mis import MaximalIndependentSet
+    from repro.olocal.vertex_cover import MinimalVertexCover
+
+    validator = {
+        MaximalIndependentSet: (bool, _mis_accepts),
+        DeltaPlusOneColoring: (int, _coloring_accepts),
+        MinimalVertexCover: (bool, _vertex_cover_accepts),
+    }.get(type(problem))
+    if validator is not None:
+        kind, accepts = validator
+        with span("vectorized.check", n=graph.n):
+            ga = graph.arrays
+            column = _column(ga, outputs, kind)
+            if column is not None and accepts(ga, column):
+                return
+    problem.check(graph, outputs, inputs)
 
 
 def decide_by_priority(

@@ -113,12 +113,28 @@ def naive_distance_2(g, v):
 
 
 @st.composite
+def node_ids(draw, n):
+    """Sorted IDs of n nodes: 1..n, a contiguous range k+1..k+n above 1,
+    or a set with gaps — both branches of ``GraphArrays.from_adjacency``."""
+    shape = draw(st.sampled_from(("identity", "shifted", "gapped")))
+    if shape == "identity":
+        return list(range(1, n + 1))
+    if shape == "shifted":
+        k = draw(st.integers(min_value=1, max_value=1000))
+        return list(range(k + 1, k + n + 1))
+    ids = draw(st.sets(st.integers(min_value=1, max_value=4 * n + 8),
+                       min_size=n, max_size=n))
+    return sorted(ids)
+
+
+@st.composite
 def graphs(draw):
     n = draw(st.integers(min_value=1, max_value=24))
-    possible = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    ids = draw(node_ids(n))
+    possible = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
     edges = draw(st.lists(st.sampled_from(possible), max_size=60) if possible
                  else st.just([]))
-    return StaticGraph.from_edges(edges, nodes=range(1, n + 1), id_space=n)
+    return StaticGraph.from_edges(edges, nodes=ids, id_space=ids[-1])
 
 
 @st.composite

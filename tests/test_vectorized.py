@@ -262,8 +262,9 @@ class TestEngineAxis:
 
 
 def fast_gnp(n, avg_degree, seed):
-    """Sparse G(n, d/n) via networkx's O(n + m) sampler — the family
-    registry's ``gnp`` walks all n² pairs, infeasible at these sizes."""
+    """Sparse G(n, d/n) via networkx's O(n + m) sampler, left
+    unpatched: unlike the registry's ``gnp`` (whose ``method="fast"``
+    uses the same sampler), it keeps the isolated nodes and components."""
     import networkx as nx
 
     from repro.graphs.graph import StaticGraph
